@@ -23,7 +23,6 @@ from .classify import (
 )
 from .distill import (
     DistillOutcome,
-    FilterCapReachedError,
     amplify,
     dense_filter_oracle,
     filter_operator,
@@ -31,7 +30,6 @@ from .distill import (
     minimal_m_raw,
     pair_fidelity_after_projection,
     plan_pair_distillation,
-    relabel_for_projection,
 )
 from .family import (
     GhzWeights,
@@ -61,7 +59,6 @@ __all__ = [
     "ClassReport",
     "DistillOutcome",
     "EnsembleNotApplicableError",
-    "FilterCapReachedError",
     "GhzWeights",
     "RhoHatWeights",
     "SeparableEnsemble",
@@ -91,7 +88,6 @@ __all__ = [
     "pt_positive_analytic",
     "pt_positive_numeric",
     "random_weights",
-    "relabel_for_projection",
     "rho_hat_density",
     "separable_wrt",
     "verify_ensemble",

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: classify, depolarize, distill, witness, threshold, selftest.
+Subcommands: classify, depolarize, distill, witness, threshold.
 Reports go to stdout (JSON by default, ``--text`` for a summary),
 diagnostics to stderr. Exit codes: 0 success, 2 invalid input, 3 requested
 result not applicable (e.g. the pair is not distillable).
@@ -17,7 +17,7 @@ from . import __version__, stateio, tensor
 from . import classify as classify_mod
 from . import distill as distill_mod
 from . import witness as witness_mod
-from .family import GhzWeights, depolarize, family_density, random_weights, werner_like
+from .family import GhzWeights, depolarize, family_density, permute_weights
 from .stateio import StateFileError, qubit_label
 
 EXIT_OK = 0
@@ -64,7 +64,7 @@ def cmd_classify(args) -> int:
     report = {
         "tool_version": __version__,
         "command": "classify",
-        "tolerance": args.tol,
+        "tolerance": tensor.DEFAULT_PT_TOL,
         "n_qubits": n,
         "depolarized": depolarized,
         "input_notes": list(state.notes),
@@ -108,7 +108,7 @@ def cmd_depolarize(args) -> int:
     report = {
         "tool_version": __version__,
         "command": "depolarize",
-        "tolerance": args.tol,
+        "tolerance": tensor.DEFAULT_PT_TOL,
         "n_qubits": w.n_qubits,
         "depolarized": depolarized,
         "input_notes": list(state.notes),
@@ -161,20 +161,14 @@ def cmd_distill(args) -> int:
     report = {
         "tool_version": __version__,
         "command": "distill",
-        "tolerance": args.tol,
+        "tolerance": tensor.DEFAULT_PT_TOL,
         "n_qubits": 3,
         "depolarized": depolarized,
         "input_notes": list(state.notes),
         "pair": [qubit_label(q) for q in sorted((i, k))],
         "projected_qubit": qubit_label(3 - i - k),
     }
-    try:
-        outcome = distill_mod.plan_pair_distillation(w, i, k, m=args.m)
-    except distill_mod.FilterCapReachedError as exc:
-        report["distillable"] = True
-        report["error"] = str(exc)
-        _emit(args, report, [f"distillable, but {exc}"])
-        return EXIT_NOT_APPLICABLE
+    outcome = distill_mod.plan_pair_distillation(w, i, k, m=args.m)
     if outcome is None:
         report["distillable"] = False
         report["reason"] = (
@@ -201,11 +195,11 @@ def cmd_distill(args) -> int:
         f"copies used: {outcome.m_used}",
         f"filter success probability: {outcome.filter_success_probability!r}",
         f"pair fidelity after projection: {outcome.pair_fidelity!r}",
-        f"purifiable (fidelity > 1/2): {_yesno(outcome.purifiable)}",
+        f"purifiable (exact fidelity > 1/2): {_yesno(outcome.purifiable)}",
     ]
     if args.oracle:
         if outcome.m_used <= distill_mod.DENSE_ORACLE_MAX_COPIES:
-            relabeled = distill_mod.relabel_for_projection(w, 3 - i - k, i, k)
+            relabeled = permute_weights(w, (3 - i - k, i, k))
             sigma, prob = distill_mod.dense_filter_oracle(relabeled, outcome.m_used)
             state_dev = float(
                 np.abs(family_density(outcome.filtered_weights) - sigma).max()
@@ -301,76 +295,6 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    checks = 0
-    failures: list[str] = []
-
-    def expect(ok: bool, label: str) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(label)
-
-    for n, count in ((3, 40), (4, 15)):
-        for idx in range(count):
-            w = random_weights(n, rng)
-            rho = family_density(w)
-            for mask in classify_mod.bipartition_masks(n):
-                analytic = classify_mod.pt_positive_analytic(w, mask)
-                numeric = tensor.is_ppt(rho, mask, tol=args.tol)
-                expect(analytic == numeric, f"pt agreement n={n} draw={idx} mask={mask}")
-
-    for idx in range(8):
-        w = random_weights(3, rng)
-        filtered, prob = distill_mod.amplify(w, 2)
-        sigma, prob_oracle = distill_mod.dense_filter_oracle(w, 2)
-        expect(
-            float(np.abs(family_density(filtered) - sigma).max()) <= 1e-10,
-            f"filter oracle state draw={idx}",
-        )
-        expect(abs(prob - prob_oracle) <= 1e-12, f"filter oracle probability draw={idx}")
-
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-    for idx in range(200):
-        w = random_weights(3, rng)
-        fid, _ = distill_mod.pair_fidelity_after_projection(w)
-        expect(
-            (fid > 0.5) == (w.delta / 2.0 > w.lam(1) + w.lam(3)),
-            f"fidelity criterion draw={idx}",
-        )
-        if idx < 20:
-            reduced, prob = tensor.project_qubit(family_density(w), 0, plus)
-            dense_fid = float(np.real(bell.conj() @ reduced @ bell))
-            expect(abs(dense_fid - fid) <= 1e-12, f"dense fidelity draw={idx}")
-            expect(abs(prob - 0.5) <= 1e-12, f"projection probability draw={idx}")
-
-    for n in range(3, 7):
-        x = 1.0 / (1 + (1 << (n - 1)))
-        expect(
-            classify_mod.fully_separable(werner_like(n, x - 1e-9)),
-            f"threshold separable side n={n}",
-        )
-        expect(
-            not classify_mod.fully_separable(werner_like(n, x + 1e-9)),
-            f"threshold entangled side n={n}",
-        )
-
-    report = {
-        "tool_version": __version__,
-        "command": "selftest",
-        "tolerance": args.tol,
-        "seed": args.seed,
-        "checks": checks,
-        "failures": failures,
-    }
-    lines = [f"seed: {args.seed}", f"checks: {checks}", f"failures: {len(failures)}"]
-    _emit(args, report, lines)
-    return EXIT_OK if not failures else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepkit",
@@ -379,22 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"sepkit {__version__}"
     )
-    # selftest stays reachable but is not advertised in the usage line
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{classify,depolarize,distill,witness,threshold}",
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, with_input=True):
         if with_input:
             sp.add_argument("--input", required=True, help="state file (JSON)")
-        sp.add_argument(
-            "--tol",
-            type=float,
-            default=tensor.DEFAULT_PT_TOL,
-            help="positivity tolerance on minimum eigenvalues",
-        )
         sp.add_argument(
             "--precision",
             type=int,
@@ -429,6 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("witness", help="emit separability certificates")
     common(sp)
     sp.add_argument(
+        "--tol",
+        type=float,
+        default=tensor.DEFAULT_PT_TOL,
+        help="positivity tolerance on the minimum eigenvalue of rho_tilde",
+    )
+    sp.add_argument(
         "--ensemble-out",
         default=None,
         help="also write the separable ensemble to this path (requires class 5)",
@@ -439,11 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, with_input=False)
     sp.add_argument("--n", type=int, required=True, help="number of qubits (>= 3)")
     sp.set_defaults(func=cmd_threshold)
-
-    sp = sub.add_parser("selftest", help="seeded internal consistency checks")
-    common(sp, with_input=False)
-    sp.add_argument("--seed", type=int, default=12345)
-    sp.set_defaults(func=cmd_selftest)
 
     return parser
 

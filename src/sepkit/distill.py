@@ -14,44 +14,36 @@ projection then yields a two-qubit state with Bell fidelity
 lambda0_plus + lambda2 (probability 1/2), which exceeds 1/2 exactly when
 delta/2 > lambda_1 + lambda_3. `amplify` implements the closed form and
 `dense_filter_oracle` the literal tensor construction it must match.
+
+The weights are taken in the projection frame: `family.permute_weights`
+moves the spectator qubit to the first position and the pair after it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor
 from .classify import pair_distillable
-from .family import GhzWeights, family_density
-
-# Qubit q of a trio <-> the pair index j whose weight controls positivity
-# of that qubit's partial transpose (j = 2, 1, 3 for qubits 0, 1, 2).
-ASSOC_LAMBDA = (2, 1, 3)
+from .family import GhzWeights, family_density, permute_weights
 
 # 3 * DENSE_ORACLE_MAX_COPIES qubits is the largest register the dense
 # oracle will materialize (4096-dimensional at the cap).
 DENSE_ORACLE_MAX_COPIES = 4
 
-MINIMAL_M_CAP = 10**6
-
-
-class FilterCapReachedError(RuntimeError):
-    """The copy-count search passed its cap without satisfying the criterion."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"no copy count up to {cap} amplifies the coherence enough")
-
 
 @dataclass(frozen=True)
 class DistillOutcome:
-    """Result of planning pair distillation on relabeled weights.
+    """Result of planning pair distillation in the projection frame.
 
-    ``filtered_weights`` describe the surviving trio in the relabeled frame
-    where the projected qubit sits first. ``purifiable`` is the statement
-    pair_fidelity > 1/2.
+    ``filtered_weights`` describe the surviving trio in the frame where the
+    projected qubit sits first. ``purifiable`` is the filter criterion
+    (delta/2)**m > lambda_1**m + lambda_3**m at ``m_used``, which in exact
+    arithmetic is pair_fidelity > 1/2; it stays exact at large m, where the
+    fidelity rounds to 1/2 and the success probability to 0.
     """
 
     m_used: int
@@ -92,16 +84,21 @@ def amplify(w: GhzWeights, m: int) -> tuple[GhzWeights, float]:
 
     Returns the normalized weights and the success probability (the trace
     of the unnormalized filtered state, 2 * (block**m + sum lambda_k**m)).
+    Where that trace falls below tensor.DEGENERATE_PROBABILITY the powers
+    are taken of the bases divided by the largest one, so the weights keep
+    their digits; the probability is then the nearest double, possibly 0.0.
     """
     _require_three_qubits(w)
     if m < 1:
         raise ValueError("need at least one copy")
-    block = ((w.lambda0_plus + w.lambda0_minus) / 2.0) ** m
-    coh = (w.delta / 2.0) ** m
-    lams = [lam**m for lam in w.lambdas]
+    bases = ((w.lambda0_plus + w.lambda0_minus) / 2.0, w.delta / 2.0, *w.lambdas)
+    scale = 1.0
+    block, coh, *lams = (b**m for b in bases)
     total = 2.0 * (block + sum(lams))
     if total < tensor.DEGENERATE_PROBABILITY:
-        raise tensor.DegenerateOutcomeError("filter success probability is zero")
+        scale = max(bases)
+        block, coh, *lams = ((b / scale) ** m for b in bases)
+        total = 2.0 * (block + sum(lams))
     out = GhzWeights(
         n_qubits=3,
         lambda0_plus=(block + coh) / total,
@@ -110,7 +107,7 @@ def amplify(w: GhzWeights, m: int) -> tuple[GhzWeights, float]:
         basis_flipped=w.basis_flipped,
         delta=2.0 * coh / total,
     )
-    return out, total
+    return out, total * scale**m
 
 
 def _trio_to_party_order(m: int) -> list[int]:
@@ -152,29 +149,43 @@ def dense_filter_oracle(w: GhzWeights, m: int) -> tuple[np.ndarray, float]:
     return trio / prob, float(prob)
 
 
-def minimal_m_raw(
-    half_delta: float, lam1: float, lam3: float, cap: int = MINIMAL_M_CAP
-) -> int | None:
+def _criterion_holds(m: int, half_delta: float, lams) -> bool:
+    """half_delta**m > sum of lam**m, for half_delta above every lam.
+
+    Evaluated as sum (lam/half_delta)**m < 1 with each ratio written as
+    exp(-m * log1p((half_delta - lam)/lam)): ratios near 1 keep their
+    digits and no power underflows, at any m. The verdict can differ from
+    exact arithmetic only where the two sides agree to about 1e-16
+    relative, below what the doubles themselves resolve.
+    """
+    ratios = (math.exp(-m * math.log1p((half_delta - lam) / lam)) for lam in lams if lam > 0.0)
+    return sum(ratios) < 1.0
+
+
+def minimal_m_raw(half_delta: float, lam1: float, lam3: float) -> int | None:
     """Smallest m >= 1 with half_delta**m > lam1**m + lam3**m.
 
-    Returns None when half_delta <= max(lam1, lam3), where no m works. The
-    predicate is evaluated in the log domain so large m cannot underflow;
-    if the cap is passed FilterCapReachedError is raised.
+    Returns None when half_delta <= max(lam1, lam3), where no m works.
+    Otherwise the criterion is monotone in m, so galloping then bisection
+    finds the least m in O(log m) evaluations.
     """
     if half_delta <= max(lam1, lam3):
         return None
-    if lam1 == 0.0 and lam3 == 0.0:
-        return 1
-    log_half = np.log(half_delta)
-    log1 = np.log(lam1) if lam1 > 0.0 else -np.inf
-    log3 = np.log(lam3) if lam3 > 0.0 else -np.inf
-    for m in range(1, cap + 1):
-        if m * log_half > np.logaddexp(m * log1, m * log3):
-            return m
-    raise FilterCapReachedError(cap)
+    lams = (lam1, lam3)
+    hi = 1
+    while not _criterion_holds(hi, half_delta, lams):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _criterion_holds(mid, half_delta, lams):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def minimal_m(w: GhzWeights, cap: int = MINIMAL_M_CAP) -> int | None:
+def minimal_m(w: GhzWeights) -> int | None:
     """Smallest copy count whose filtered state projects to fidelity > 1/2.
 
     That is the criterion (delta/2)**m > lambda_1**m + lambda_3**m; None
@@ -182,27 +193,7 @@ def minimal_m(w: GhzWeights, cap: int = MINIMAL_M_CAP) -> int | None:
     pair-distillable and no copy count helps.
     """
     _require_three_qubits(w)
-    return minimal_m_raw(w.delta / 2.0, w.lam(1), w.lam(3), cap=cap)
-
-
-def relabel_for_projection(w: GhzWeights, spectator: int, b: int, c: int) -> GhzWeights:
-    """Weights after moving ``spectator`` to the projected (first) position.
-
-    A relabeling that sends old qubit q to new position p carries
-    lambda_{ASSOC_LAMBDA[q]} to lambda_{ASSOC_LAMBDA[p]}; the j = 0 pair is
-    untouched. Agrees with family.permute_weights on the same permutation.
-    """
-    new = [0.0, 0.0, 0.0]
-    for new_pos, old_q in enumerate((spectator, b, c)):
-        new[ASSOC_LAMBDA[new_pos] - 1] = w.lam(ASSOC_LAMBDA[old_q])
-    return GhzWeights(
-        n_qubits=3,
-        lambda0_plus=w.lambda0_plus,
-        lambda0_minus=w.lambda0_minus,
-        lambdas=tuple(new),
-        basis_flipped=w.basis_flipped,
-        delta=w.delta,
-    )
+    return minimal_m_raw(w.delta / 2.0, w.lam(1), w.lam(3))
 
 
 def plan_pair_distillation(
@@ -210,18 +201,17 @@ def plan_pair_distillation(
 ) -> DistillOutcome | None:
     """Plan distilling a maximally entangled pair between qubits i and k.
 
-    Relabels the trio so the remaining qubit is projected (it takes the
-    first position; the pair weights permute along ASSOC_LAMBDA), searches
-    for the minimal copy count unless ``m`` is given, filters, and projects.
-    Returns None exactly when the pair is not distillable.
+    Permutes the trio into the projection frame (spectator first, then i
+    and k), searches for the minimal copy count unless ``m`` is given,
+    filters, and projects. Returns None exactly when the pair is not
+    distillable.
     """
     _require_three_qubits(w)
     if i == k or not (0 <= i < 3 and 0 <= k < 3):
         raise ValueError(f"({i}, {k}) is not a pair of distinct trio qubits")
     if not pair_distillable(w, i, k):
         return None
-    spectator = 3 - i - k
-    relabeled = relabel_for_projection(w, spectator, i, k)
+    relabeled = permute_weights(w, (3 - i - k, i, k))
     m_used = minimal_m(relabeled) if m is None else m
     if m_used is None or m_used < 1:
         raise ValueError(f"invalid copy count {m_used}")
@@ -233,5 +223,7 @@ def plan_pair_distillation(
         filter_success_probability=filter_prob,
         projection_success_probability=proj_prob,
         pair_fidelity=fid,
-        purifiable=fid > 0.5,
+        purifiable=_criterion_holds(
+            m_used, relabeled.delta / 2.0, (relabeled.lam(1), relabeled.lam(3))
+        ),
     )

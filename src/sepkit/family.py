@@ -77,14 +77,15 @@ class GhzWeights:
         derived = self.lambda0_plus - self.lambda0_minus
         if self.delta is None:
             object.__setattr__(self, "delta", derived)
-        elif abs(self.delta - derived) > WEIGHT_SUM_ATOL:
+        elif not abs(self.delta - derived) <= WEIGHT_SUM_ATOL:
             raise ValueError(
                 f"explicit delta {self.delta} inconsistent with "
                 f"lambda0_plus - lambda0_minus = {derived}"
             )
         object.__setattr__(self, "delta", _clamped(self.delta, "delta"))
         total = self.total()
-        if abs(total - 1.0) > WEIGHT_SUM_ATOL:
+        # written so that a NaN anywhere fails it
+        if not abs(total - 1.0) <= WEIGHT_SUM_ATOL:
             raise ValueError(f"weights sum to {total}, not 1")
 
     def lam(self, j: int) -> float:

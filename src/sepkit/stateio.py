@@ -18,6 +18,7 @@ rounds to that many significant digits first.
 from __future__ import annotations
 
 import json
+import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,15 +67,22 @@ def _number(value, field: str, notes: list[str]) -> float:
     if isinstance(value, bool):
         raise StateFileError(f"{field} must be a number")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        exact = value
+    elif isinstance(value, str):
         try:
-            frac = Fraction(value)
+            exact = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise StateFileError(f"{field}: cannot parse rational {value!r}") from exc
         notes.append(f"{field} parsed from rational {value} to nearest double")
-        return float(frac)
-    raise StateFileError(f"{field} must be a number or rational string")
+    else:
+        raise StateFileError(f"{field} must be a number or rational string")
+    try:
+        number = float(exact)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise StateFileError(f"{field} must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_weights(n: int, raw: dict, notes: list[str]) -> GhzWeights:
@@ -116,8 +124,10 @@ def _parse_matrix(n: int, raw: dict, notes: list[str]) -> np.ndarray:
     try:
         re = np.asarray(raw["re"], dtype=float)
         im = np.asarray(raw.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"matrix entries are not numeric: {exc}") from exc
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise StateFileError("matrix entries must be finite numbers")
     if re.ndim != 2 or re.shape != im.shape or re.shape[0] != re.shape[1]:
         raise StateFileError("matrix re/im must be equal-shape square 2-d arrays")
     if re.shape[0] != (1 << n):

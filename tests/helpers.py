@@ -1,5 +1,8 @@
 """Shared fixtures-in-plain-functions for the test suite."""
 
+import decimal
+from fractions import Fraction
+
 import numpy as np
 
 from sepkit import GhzWeights, classify_family, random_weights
@@ -51,3 +54,32 @@ def random_class5_weights(rng, count):
         if classify_family(w).class3 == 5:
             out.append(w)
     return out
+
+
+def reference_minimal_m(half_delta, lam1, lam3, limit):
+    """Least m <= limit with half_delta**m > lam1**m + lam3**m, else None.
+
+    A plain scan in exact rational arithmetic: the three doubles become
+    Fractions, and the comparison is made on their powers with the common
+    denominator cleared, so every step compares integers. A double's
+    denominator is a power of two, so the largest one is a common multiple.
+    """
+    exact = [Fraction(x) for x in (half_delta, lam1, lam3)]
+    den = max(x.denominator for x in exact)
+    h, a, b = (x.numerator * (den // x.denominator) for x in exact)
+    ph = pa = pb = 1
+    for m in range(1, limit + 1):
+        ph, pa, pb = ph * h, pa * a, pb * b
+        if ph > pa + pb:
+            return m
+    return None
+
+
+def exact_margin(half_delta, lam1, lam3, m):
+    """half_delta**m - lam1**m - lam3**m of the exact doubles, to 60 digits.
+
+    The exponent range is unbounded, so no power underflows at any m.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX):
+        return D(half_delta) ** m - D(lam1) ** m - D(lam3) ** m

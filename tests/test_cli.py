@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sepkit import ghz_ket, werner_like
 from sepkit import tensor
 from sepkit.cli import main
+
+STATES = Path(__file__).resolve().parent.parent / "cli_examples" / "states"
 
 
 def write_weights(path, w):
@@ -95,6 +99,44 @@ def test_classify_text_mode(capsys, tmp_path):
     assert "fully separable: yes" in out
 
 
+NAN, INF = float("nan"), float("inf")
+WERNER03 = {"lambda0_plus": 0.3875, "lambda0_minus": 0.0875, "lambdas": [0.0875] * 3}
+MIXED8 = (np.eye(8) / 8).tolist()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n_qubits": 3, "weights": {**WERNER03, "lambda0_plus": NAN}},
+        {"n_qubits": 3, "weights": {**WERNER03, "lambdas": [0.0875, INF, 0.0875]}},
+        {"n_qubits": 3, "weights": {**WERNER03, "delta": NAN}},
+        {"n_qubits": 3, "matrix": {"re": MIXED8, "im": [[0.0] * 7 + [NAN]] + [[0.0] * 8] * 7}},
+    ],
+    ids=["nan-weight", "infinity", "nan-delta", "nan-matrix"],
+)
+def test_rejects_non_finite_numbers(capsys, tmp_path, doc):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("classify", "distill --pair B,C", "witness"):
+        code, out, err = run(capsys, *command.split(), "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("sepkit:")
+
+
+def test_tol_only_on_witness(capsys, tmp_path):
+    path = write_weights(tmp_path / "w.json", werner_like(3, 0.2))
+    code, doc, _ = run_json(capsys, "witness", "--input", path, "--tol", "1e-6")
+    assert code == 0
+    assert doc["tolerance"] == 1e-6
+    for argv in (["threshold", "--n", "4"], ["classify", "--input", path]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "5"])
+        assert exc.value.code == 2
+    code, doc, _ = run_json(capsys, "classify", "--input", path)
+    assert doc["tolerance"] == tensor.DEFAULT_PT_TOL
+
+
 def test_depolarize_matrix(capsys, tmp_path):
     path = write_matrix(tmp_path / "m.json", tensor.density_of(tensor.basis_ket(3, 0)), 3)
     code, doc, _ = run_json(capsys, "depolarize", "--input", path)
@@ -142,6 +184,22 @@ def test_distill_explicit_m(capsys, tmp_path):
     assert doc["m_used"] == 1
     assert doc["m_was_given"] is True
     assert doc["purifiable"] is False
+
+
+def test_distill_just_above_threshold(capsys, tmp_path):
+    path = write_weights(tmp_path / "w.json", werner_like(3, 0.2 + 1e-7))
+    code, doc, _ = run_json(capsys, "distill", "--input", path, "--pair", "B,C")
+    assert code == 0
+    assert doc["m_used"] == 1109036
+    assert doc["purifiable"] is True
+
+
+def test_distill_large_explicit_m(capsys):
+    path = str(STATES / "werner3_x030.json")
+    code, doc, _ = run_json(capsys, "distill", "--input", path, "--pair", "B,C", "--m", "200")
+    assert code == 0
+    assert doc["m_used"] == 200
+    assert doc["purifiable"] is True
 
 
 def test_distill_rejects_bad_pair(capsys, tmp_path):
@@ -197,16 +255,6 @@ def test_witness_pure_ghz_certificate_negative(capsys, tmp_path):
     assert code == 0
     assert doc["rho_tilde"]["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-12)
     assert doc["rho_tilde"]["positive_semidefinite"] is False
-
-
-def test_selftest_deterministic(capsys):
-    code, doc, _ = run_json(capsys, "selftest", "--seed", "7")
-    assert code == 0
-    assert doc["failures"] == []
-    assert doc["seed"] == 7
-    checks_first = doc["checks"]
-    code, doc, _ = run_json(capsys, "selftest", "--seed", "7")
-    assert doc["checks"] == checks_first
 
 
 def test_precision_flag_rounds_output(capsys, tmp_path):

@@ -1,9 +1,19 @@
+import statistics
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import BELL_PHI_PLUS, KET_PLUS, weights_max_diff
+from helpers import (
+    BELL_PHI_PLUS,
+    KET_PLUS,
+    exact_margin,
+    reference_minimal_m,
+    weights_max_diff,
+)
 from sepkit import (
-    FilterCapReachedError,
     GhzWeights,
     amplify,
     dense_filter_oracle,
@@ -17,7 +27,6 @@ from sepkit import (
     permute_weights,
     plan_pair_distillation,
     random_weights,
-    relabel_for_projection,
     separable_wrt,
     werner_like,
 )
@@ -186,11 +195,69 @@ def test_minimal_m_none_when_not_distillable():
 
 
 def test_minimal_m_cap_reached():
-    with pytest.raises(FilterCapReachedError):
-        minimal_m_raw(0.2 * (1 + 1e-12), 0.2, 0.2, cap=1000)
+    # ratio 1 + 1e-12: far beyond where a linear scan ends, found exactly
+    half_delta, lam = 0.2 * (1 + 1e-12), 0.2
+    m = minimal_m_raw(half_delta, lam, lam)
+    assert m == 693124037543
+    assert exact_margin(half_delta, lam, lam, m) > 0
+    assert exact_margin(half_delta, lam, lam, m - 1) < 0
+
+
+# Pair weights, zero included, and half_delta = max weight * (1 + excess)
+# with excess = 10**-digits, so m* spreads from 1 to about 10**4. Equal
+# weights (no excess) are the worked instance's None case.
+WEIGHT = st.floats(min_value=1e-3, max_value=0.5)
+PAIR_WEIGHTS = st.one_of(st.just(0.0), WEIGHT, WEIGHT, WEIGHT)
+EXCESSES = st.floats(min_value=0.0, max_value=4.0).map(lambda digits: 10.0**-digits)
+REFERENCE_LIMIT = 2000
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(lam1=PAIR_WEIGHTS, lam3=PAIR_WEIGHTS, excess=EXCESSES)
+def test_minimal_m_raw_matches_exact_scan(lam1, lam3, excess):
+    half_delta = (max(lam1, lam3) or 0.25) * (1.0 + excess)
+    m = minimal_m_raw(half_delta, lam1, lam3)
+    expected = reference_minimal_m(half_delta, lam1, lam3, REFERENCE_LIMIT)
+    if expected is None:
+        assert m > REFERENCE_LIMIT
+    else:
+        assert m == expected
+
+
+def test_minimal_m_threshold_ladder():
+    # werner_like(3, 1/5 + 10**-k): pair-distillable just above the threshold
+    previous = 0
+    for k in range(1, 13):
+        w = werner_like(3, 0.2 + 10.0**-k)
+        half_delta, lam1, lam3 = w.delta / 2, w.lam(1), w.lam(3)
+        times = []
+        for _ in range(21):
+            start = time.perf_counter()
+            m = minimal_m(w)
+            times.append(time.perf_counter() - start)
+        assert statistics.median(times) < 1e-3
+        assert exact_margin(half_delta, lam1, lam3, m) > 0
+        assert m == 1 or exact_margin(half_delta, lam1, lam3, m - 1) <= 0
+        assert m > previous
+        previous = m
+        outcome = plan_pair_distillation(w, 1, 2)
+        assert outcome.m_used == m
+        assert outcome.purifiable
+    assert previous == 110901077216
+
+
+def test_amplify_huge_copy_count():
+    draws = [werner_like(3, 0.3), werner_like(3, 0.2 + 1e-7)]
+    draws.append(random_weights(3, np.random.default_rng(151)))
+    for w in draws:
+        out, prob = amplify(w, 10**6)
+        assert abs(out.total() - 1.0) <= 1e-12
+        assert 0.0 <= prob < tensor.DEGENERATE_PROBABILITY
+        assert out.lambda0_plus >= out.lambda0_minus >= 0.0
 
 
 def test_relabel_agrees_with_permutation_and_oracle():
+    # the projection frame of plan_pair_distillation: spectator first
     rng = np.random.default_rng(139)
     for _ in range(5):
         w = random_weights(3, rng)
@@ -199,15 +266,17 @@ def test_relabel_agrees_with_permutation_and_oracle():
                 if i == k:
                     continue
                 spectator = 3 - i - k
-                table = relabel_for_projection(w, spectator, i, k)
-                bits = permute_weights(w, (spectator, i, k))
-                assert weights_max_diff(table, bits) <= 1e-15
+                frame = permute_weights(w, (spectator, i, k))
                 dense = tensor.permute_qubits(family_density(w), (spectator, i, k))
-                assert weights_max_diff(table, depolarize(dense)) <= 1e-12
+                assert weights_max_diff(frame, depolarize(dense)) <= 1e-12
                 # positivity pattern must travel with the relabeling
-                assert separable_wrt(w, i) == separable_wrt(table, 1)
-                assert separable_wrt(w, k) == separable_wrt(table, 2)
-                assert separable_wrt(w, spectator) == separable_wrt(table, 0)
+                assert separable_wrt(w, i) == separable_wrt(frame, 1)
+                assert separable_wrt(w, k) == separable_wrt(frame, 2)
+                assert separable_wrt(w, spectator) == separable_wrt(frame, 0)
+                outcome = plan_pair_distillation(w, i, k)
+                if outcome is not None:
+                    filtered, _ = amplify(frame, outcome.m_used)
+                    assert weights_max_diff(filtered, outcome.filtered_weights) == 0.0
 
 
 def test_plan_class2_instance():
@@ -267,7 +336,7 @@ def test_filtered_weights_describe_projected_frame():
     # for the class-2 state the spectator is qubit 1; after relabeling the
     # projected fidelity must match a dense simulation of the same plan
     outcome = plan_pair_distillation(CLASS2_WEIGHTS, 0, 2)
-    relabeled = relabel_for_projection(CLASS2_WEIGHTS, 1, 0, 2)
+    relabeled = permute_weights(CLASS2_WEIGHTS, (1, 0, 2))
     filtered, _ = amplify(relabeled, outcome.m_used)
     assert weights_max_diff(filtered, outcome.filtered_weights) == 0.0
     reduced, prob = tensor.project_qubit(family_density(filtered), 0, KET_PLUS)

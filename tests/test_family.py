@@ -200,6 +200,14 @@ def test_weights_validation():
         GhzWeights(3, 0.5, 0.5, (0.1, -0.1, 0.0))  # negative weight
     with pytest.raises(ValueError):
         GhzWeights(3, 0.5, 0.3, (0.1, 0.0, 0.0), delta=0.3)  # inconsistent delta
+    for bad in (
+        dict(lambda0_plus=float("nan")),  # NaN compares false with every bound
+        dict(lambdas=(0.1, float("inf"), 0.1)),
+        dict(delta=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            GhzWeights(**{"n_qubits": 3, "lambda0_plus": 0.5, "lambda0_minus": 0.1,
+                          "lambdas": (0.1, 0.0, 0.1), **bad})
     # tiny negatives clamp to zero
     w = GhzWeights(3, 1.0, -1e-13, (0.0, 0.0, -5e-14))
     assert w.lambda0_minus == 0.0
