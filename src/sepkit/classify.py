@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from . import tensor
 from .family import GhzWeights, family_density
 
@@ -64,7 +66,7 @@ def pt_positive_analytic(w: GhzWeights, mask: int) -> bool:
     positive (the minimum eigenvalue is exactly zero there).
     """
     j = partition_lambda_index(mask, w.n_qubits)
-    return w.delta <= 2.0 * w.lambdas[j - 1]
+    return w.delta <= 2.0 * w.lam(j)
 
 
 def pt_positive_numeric(
@@ -89,26 +91,33 @@ def fully_separable(w: GhzWeights) -> bool:
     Equivalent to delta <= 2 * min(lambdas), since the distinct
     bipartitions sweep out every pair index exactly once.
     """
-    return w.delta <= 2.0 * min(w.lambdas)
+    return bool(w.delta <= 2.0 * w.lambdas.min())
+
+
+def _columns(w: GhzWeights, qubits) -> list[bytes]:
+    """Each qubit's bit in every PT-positive mask 2j (ties positive), packed.
+
+    Two qubits have equal columns iff no PT-positive bipartition separates
+    them (Dür & Cirac, PRA 61, 042314 (2000)).
+    """
+    masks = (w.delta <= 2.0 * w.lambdas).nonzero()[0] * 2 + 2
+    # packbits sets a bit for every nonzero entry
+    return [np.packbits(masks & (1 << (w.n_qubits - 1 - q))).tobytes() for q in qubits]
 
 
 def pair_distillable(w: GhzWeights, i: int, k: int) -> bool:
     """Whether a maximally entangled pair between qubits i and k is distillable.
 
     Requires a negative partial transpose for every bipartition that
-    separates i from k.
+    separates them, i.e. i and k share their bit in every positive mask 2j.
     """
     n = w.n_qubits
     if i == k:
         raise ValueError("need two distinct qubits")
     if not (0 <= i < n and 0 <= k < n):
         raise ValueError(f"qubit pair ({i}, {k}) out of range for {n} qubits")
-    rest = [q for q in range(n) if q not in (i, k)]
-    for bits in range(1 << len(rest)):
-        side = [i] + [q for idx, q in enumerate(rest) if (bits >> idx) & 1]
-        if pt_positive_analytic(w, tensor.qubits_to_mask(side, n)):
-            return False
-    return True
+    column_i, column_k = _columns(w, (i, k))
+    return column_i == column_k
 
 
 def ghz_distillable(w: GhzWeights) -> bool:
@@ -120,20 +129,16 @@ def ghz_distillable(w: GhzWeights) -> bool:
     from which a GHZ state can be assembled by connecting pairs; we expose
     that extension under the same name.
     """
-    return w.delta > 2.0 * max(w.lambdas)
+    return bool(w.delta > 2.0 * w.lambdas.max())
 
 
 def classify_family(w: GhzWeights) -> ClassReport:
     """Full classification report; ``class3`` is filled only for 3 qubits."""
     n = w.n_qubits
-    singles = {
-        tensor.qubits_to_mask((q,), n): pt_positive_analytic(w, tensor.qubits_to_mask((q,), n))
-        for q in range(n)
-    }
-    bisep = frozenset(q for q in range(n) if singles[tensor.qubits_to_mask((q,), n)])
-    pairs = frozenset(
-        (i, k) for i, k in combinations(range(n), 2) if pair_distillable(w, i, k)
-    )
+    bisep = frozenset(q for q in range(n) if separable_wrt(w, q))
+    singles = {tensor.qubits_to_mask((q,), n): q in bisep for q in range(n)}
+    columns = _columns(w, range(n))
+    pairs = frozenset((i, k) for i, k in combinations(range(n), 2) if columns[i] == columns[k])
     class3 = None
     hint = None
     if n == 3:

@@ -118,7 +118,7 @@ def cmd_depolarize(args) -> int:
         f"n_qubits: {w.n_qubits}",
         f"lambda0_plus:  {w.lambda0_plus!r}",
         f"lambda0_minus: {w.lambda0_minus!r}",
-        f"lambdas: {list(w.lambdas)!r}",
+        f"lambdas: {w.lambdas.tolist()!r}",
         f"delta: {w.delta!r}",
         f"basis flipped: {_yesno(w.basis_flipped)}",
     ]
@@ -127,8 +127,9 @@ def cmd_depolarize(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    if args.n < 3:
-        raise StateFileError("threshold is defined for n >= 3")
+    # checked before 1 << (n - 1) is built; beyond max_exp it overflows a double
+    if not 3 <= args.n <= sys.float_info.max_exp:
+        raise StateFileError(f"threshold is computed for n >= 3 and n <= {sys.float_info.max_exp}")
     denominator = 1 + (1 << (args.n - 1))
     value = 1.0 / denominator
     report = {
@@ -226,8 +227,6 @@ def cmd_distill(args) -> int:
 def cmd_witness(args) -> int:
     state = stateio.load_state(args.input)
     w, depolarized = _resolve_weights(state)
-    if w.n_qubits != 3:
-        raise StateFileError("witness constructions require a 3-qubit state")
     rho_tilde = witness_mod.build_rho_tilde(w)
     mask_a = tensor.qubits_to_mask((0,), 3)
     residual = float(
@@ -263,7 +262,7 @@ def cmd_witness(args) -> int:
         round_trip = max(
             abs(wd.lambda0_plus - w.lambda0_plus),
             abs(wd.lambda0_minus - w.lambda0_minus),
-            max(abs(a - b) for a, b in zip(wd.lambdas, w.lambdas)),
+            float(np.abs(wd.lambdas - w.lambdas).max()),
         )
         report["ensemble"] = {
             "term_count": len(ensemble.terms),
@@ -277,8 +276,11 @@ def cmd_witness(args) -> int:
             f"reconstruction residual {recon:.3e}"
         )
         if args.ensemble_out:
-            with open(args.ensemble_out, "w", encoding="utf-8") as fh:
-                fh.write(stateio.dump_report(stateio.ensemble_dict(ensemble), args.precision))
+            try:
+                with open(args.ensemble_out, "w", encoding="utf-8") as fh:
+                    fh.write(stateio.dump_report(stateio.ensemble_dict(ensemble), args.precision))
+            except OSError as exc:
+                raise StateFileError(f"cannot write {args.ensemble_out}: {exc.strerror}") from exc
             lines.append(f"ensemble written to {args.ensemble_out}")
     else:
         report["ensemble"] = None
@@ -367,10 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StateFileError as exc:
-        print(f"sepkit: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # StateFileError included
         print(f"sepkit: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

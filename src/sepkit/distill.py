@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .classify import pair_distillable
+from .classify import separable_wrt
 from .family import GhzWeights, family_density, permute_weights
 
 # 3 * DENSE_ORACLE_MAX_COPIES qubits is the largest register the dense
@@ -91,7 +91,7 @@ def amplify(w: GhzWeights, m: int) -> tuple[GhzWeights, float]:
     _require_three_qubits(w)
     if m < 1:
         raise ValueError("need at least one copy")
-    bases = ((w.lambda0_plus + w.lambda0_minus) / 2.0, w.delta / 2.0, *w.lambdas)
+    bases = ((w.lambda0_plus + w.lambda0_minus) / 2.0, w.delta / 2.0, *w.lambdas.tolist())
     scale = 1.0
     block, coh, *lams = (b**m for b in bases)
     total = 2.0 * (block + sum(lams))
@@ -204,12 +204,13 @@ def plan_pair_distillation(
     Permutes the trio into the projection frame (spectator first, then i
     and k), searches for the minimal copy count unless ``m`` is given,
     filters, and projects. Returns None exactly when the pair is not
-    distillable.
+    distillable: in a trio the bipartitions separating i from k are the two
+    single-qubit ones, so that is when either qubit is separable.
     """
     _require_three_qubits(w)
     if i == k or not (0 <= i < 3 and 0 <= k < 3):
         raise ValueError(f"({i}, {k}) is not a pair of distinct trio qubits")
-    if not pair_distillable(w, i, k):
+    if separable_wrt(w, i) or separable_wrt(w, k):
         return None
     relabeled = permute_weights(w, (3 - i - k, i, k))
     m_used = minimal_m(relabeled) if m is None else m

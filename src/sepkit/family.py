@@ -45,9 +45,9 @@ class GhzWeights:
     """Normalized weight vector identifying a state of the family.
 
     ``lambdas[j-1]`` is the weight of the j-th +- projector pair for
-    j = 1 .. 2**(n-1) - 1. Canonical labelling keeps
-    ``lambda0_plus >= lambda0_minus``; ``basis_flipped`` records that a
-    local phase redefinition was applied to restore that ordering.
+    j = 1 .. 2**(n-1) - 1, kept as a read-only float64 copy. Canonical
+    labelling keeps ``lambda0_plus >= lambda0_minus``; ``basis_flipped``
+    records that a local phase redefinition restored that ordering.
 
     ``delta`` defaults to lambda0_plus - lambda0_minus. Closed-form
     constructors may pass it explicitly (validated to agree within 1e-12)
@@ -58,7 +58,7 @@ class GhzWeights:
     n_qubits: int
     lambda0_plus: float
     lambda0_minus: float
-    lambdas: tuple[float, ...]
+    lambdas: np.ndarray
     basis_flipped: bool = False
     delta: float | None = None
 
@@ -66,14 +66,18 @@ class GhzWeights:
         if self.n_qubits < 2:
             raise ValueError("the family needs at least 2 qubits")
         expected = (1 << (self.n_qubits - 1)) - 1
-        lams = tuple(float(x) for x in self.lambdas)
-        if len(lams) != expected:
-            raise ValueError(f"expected {expected} pair weights, got {len(lams)}")
+        lams = np.array(self.lambdas, dtype=float)
+        if lams.shape != (expected,):
+            raise ValueError(f"expected {expected} pair weights, got shape {lams.shape}")
         object.__setattr__(self, "lambda0_plus", _clamped(self.lambda0_plus, "lambda0_plus"))
         object.__setattr__(self, "lambda0_minus", _clamped(self.lambda0_minus, "lambda0_minus"))
-        object.__setattr__(
-            self, "lambdas", tuple(_clamped(x, f"lambda_{j + 1}") for j, x in enumerate(lams))
-        )
+        if lams.min() < 0.0:
+            beyond = np.flatnonzero(lams < -NEGATIVE_WEIGHT_CLAMP)
+            if beyond.size:
+                _clamped(float(lams[beyond[0]]), f"lambda_{beyond[0] + 1}")  # raises, naming the first
+            lams[lams < 0.0] = 0.0
+        lams.flags.writeable = False
+        object.__setattr__(self, "lambdas", lams)
         derived = self.lambda0_plus - self.lambda0_minus
         if self.delta is None:
             object.__setattr__(self, "delta", derived)
@@ -90,10 +94,11 @@ class GhzWeights:
 
     def lam(self, j: int) -> float:
         """Pair weight lambda_j, 1-based."""
-        return self.lambdas[j - 1]
+        return float(self.lambdas[j - 1])
 
     def total(self) -> float:
-        return self.lambda0_plus + self.lambda0_minus + 2.0 * sum(self.lambdas)
+        # a left-to-right sum of Python floats: reports print this rounding
+        return self.lambda0_plus + self.lambda0_minus + 2.0 * sum(self.lambdas.tolist())
 
 
 def ghz_ket(n: int, j: int, sign: int) -> np.ndarray:
@@ -126,8 +131,7 @@ def family_density(w: GhzWeights) -> np.ndarray:
     dim = 1 << n
     diag = np.zeros(dim)
     diag[0] = diag[dim - 1] = (w.lambda0_plus + w.lambda0_minus) / 2.0
-    for j in range(1, 1 << (n - 1)):
-        diag[2 * j] = diag[dim - 1 - 2 * j] = w.lambdas[j - 1]
+    diag[2::2] = diag[-3::-2] = w.lambdas
     rho = np.diag(diag).astype(complex)
     rho[0, dim - 1] = rho[dim - 1, 0] = w.delta / 2.0
     return rho
@@ -151,16 +155,16 @@ def depolarize(rho: np.ndarray, herm_atol: float = 1e-9, trace_atol: float = 1e-
     coherence = rho[0, dim - 1].real
     l0p = block + coherence
     l0m = block - coherence
-    lams = [(diag[2 * j] + diag[dim - 1 - 2 * j]) / 2.0 for j in range(1, 1 << (n - 1))]
+    lams = (diag[2::2] + diag[-3::-2]) / 2.0
     flipped = l0p < l0m
     if flipped:
         l0p, l0m = l0m, l0p
-    total = l0p + l0m + 2.0 * sum(lams)
+    total = l0p + l0m + 2.0 * sum(lams.tolist())
     return GhzWeights(
         n_qubits=n,
         lambda0_plus=l0p / total,
         lambda0_minus=l0m / total,
-        lambdas=tuple(x / total for x in lams),
+        lambdas=lams / total,
         basis_flipped=bool(flipped),
         delta=2.0 * abs(coherence) / total,
     )
@@ -182,7 +186,7 @@ def werner_like(n: int, x: float) -> GhzWeights:
         n_qubits=n,
         lambda0_plus=x + noise,
         lambda0_minus=noise,
-        lambdas=(noise,) * ((1 << (n - 1)) - 1),
+        lambdas=np.full((1 << (n - 1)) - 1, noise),
         delta=x,
     )
 
@@ -197,7 +201,7 @@ def random_weights(n: int, rng: np.random.Generator) -> GhzWeights:
         n_qubits=n,
         lambda0_plus=l0p,
         lambda0_minus=l0m,
-        lambdas=tuple(float(x) / 2.0 for x in masses[2:]),
+        lambdas=masses[2:] / 2.0,
     )
 
 
@@ -206,23 +210,21 @@ def permute_weights(w: GhzWeights, source) -> GhzWeights:
 
     ``source[i]`` is the old qubit placed at new register position i, the
     same convention as tensor.permute_qubits; the j = 0 pair is invariant
-    and the pair weights move by permuting the index bits of 2j.
+    and the pair weights, laid out at indices 2j and ~2j as on the diagonal
+    of family_density, move with the permuted index bits.
     """
     n = w.n_qubits
     source = list(source)
     if sorted(source) != list(range(n)):
         raise ValueError(f"{source} is not a permutation of {n} qubits")
-    full = (1 << n) - 1
-    new = [0.0] * ((1 << (n - 1)) - 1)
-    for j in range(1, 1 << (n - 1)):
-        m = tensor.permute_index_bits(2 * j, source, n)
-        jp = m >> 1 if m % 2 == 0 else (full ^ m) >> 1
-        new[jp - 1] = w.lambdas[j - 1]
+    diag = np.zeros(1 << n)
+    diag[2::2] = diag[-3::-2] = w.lambdas
+    moved = diag.reshape((2,) * n).transpose(source).reshape(-1)
     return GhzWeights(
         n_qubits=n,
         lambda0_plus=w.lambda0_plus,
         lambda0_minus=w.lambda0_minus,
-        lambdas=tuple(new),
+        lambdas=moved[2::2],
         basis_flipped=w.basis_flipped,
         delta=w.delta,
     )

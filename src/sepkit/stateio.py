@@ -177,7 +177,7 @@ def weights_dict(w: GhzWeights) -> dict:
     return {
         "lambda0_plus": w.lambda0_plus,
         "lambda0_minus": w.lambda0_minus,
-        "lambdas": list(w.lambdas),
+        "lambdas": w.lambdas.tolist(),
         "delta": w.delta,
         "basis_flipped": w.basis_flipped,
     }

@@ -144,14 +144,6 @@ def partial_transpose(rho: np.ndarray, mask: int) -> np.ndarray:
     return t.transpose(axes).reshape(rho.shape)
 
 
-def permute_index_bits(index: int, source, n: int) -> int:
-    """Reassemble a basis index so bit i of the output is bit source[i] of the input."""
-    out = 0
-    for i, q in enumerate(source):
-        out |= ((index >> (n - 1 - q)) & 1) << (n - 1 - i)
-    return out
-
-
 def permute_qubits(rho: np.ndarray, source) -> np.ndarray:
     """Relabel qubits: output register position i carries input qubit source[i]."""
     rho = np.asarray(rho, dtype=complex)

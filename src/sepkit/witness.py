@@ -92,15 +92,13 @@ def build_rho_hat(w: GhzWeights) -> RhoHatWeights:
     """
     _require_three_qubits(w)
     half = w.delta / 2.0
-    plus = []
-    minus = []
-    for j in range(1, 4):
-        lo = w.lam(j) - half
-        if lo < -NEGATIVE_WEIGHT_CLAMP:
-            raise EnsembleNotApplicableError(j, lo)
-        plus.append(w.lam(j) + half)
-        minus.append(max(lo, 0.0))
-    return RhoHatWeights(base=w, hat_plus=tuple(plus), hat_minus=tuple(minus))
+    minus = w.lambdas - half
+    beyond = np.flatnonzero(minus < -NEGATIVE_WEIGHT_CLAMP)
+    if beyond.size:
+        raise EnsembleNotApplicableError(int(beyond[0]) + 1, float(minus[beyond[0]]))
+    minus[minus < 0.0] = 0.0
+    plus = w.lambdas + half
+    return RhoHatWeights(base=w, hat_plus=tuple(plus.tolist()), hat_minus=tuple(minus.tolist()))
 
 
 def rho_hat_density(hw: RhoHatWeights) -> np.ndarray:

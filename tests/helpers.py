@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from sepkit import GhzWeights, classify_family, random_weights
+from sepkit import GhzWeights, classify_family, pt_positive_analytic, random_weights
+from sepkit import tensor
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -83,3 +84,18 @@ def exact_margin(half_delta, lam1, lam3, m):
     D = decimal.Decimal
     with decimal.localcontext(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX):
         return D(half_delta) ** m - D(lam1) ** m - D(lam3) ** m
+
+
+def reference_pair_distillable(w, i, k):
+    """Pair rule by enumeration: no side containing i but not k is PT-positive.
+
+    Walks all 2**(n-2) subsets of the other qubits, each joined with i, so it
+    checks every bipartition that separates i from k one by one.
+    """
+    n = w.n_qubits
+    rest = [q for q in range(n) if q not in (i, k)]
+    for bits in range(1 << len(rest)):
+        side = [i] + [q for idx, q in enumerate(rest) if (bits >> idx) & 1]
+        if pt_positive_analytic(w, tensor.qubits_to_mask(side, n)):
+            return False
+    return True

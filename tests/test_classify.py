@@ -1,6 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_pair_distillable
 from sepkit import (
     GhzWeights,
     bipartition_masks,
@@ -11,6 +16,7 @@ from sepkit import (
     ghz_distillable,
     pair_distillable,
     partition_lambda_index,
+    permute_weights,
     pt_positive_analytic,
     pt_positive_numeric,
     random_weights,
@@ -209,3 +215,65 @@ def test_ghz_distillable_cases():
     assert ghz_distillable(werner_like(3, 0.21))
     assert not ghz_distillable(CLASS2_WEIGHTS)
     assert ghz_distillable(GhzWeights(3, 1.0, 0.0, (0.0, 0.0, 0.0)))
+
+
+# In units where delta = 2 * HALF: a pair weight of HALF sits exactly on the
+# boundary delta == 2 lambda_j (positive), above it is positive, below negative.
+HALF = 4
+
+
+@st.composite
+def weights_with_positive_set(draw):
+    """Weights on n = 2..8 qubits whose PT-positive bipartitions are drawn.
+
+    Each qubit gets a group label. A mask that splits no group gets a weight
+    from 0..2*HALF, so it is negative, a tie or positive; a mask that splits
+    a group stays negative unless the drawn ``leak`` allows it. So qubits in
+    one group are never separated and partial groupings such as {A,B} and
+    {C,D} occur. Integer weights over one total keep every tie exact.
+    """
+    n = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    leak = draw(st.booleans())
+    units = []
+    for j in range(1, 1 << (n - 1)):
+        side = tensor.mask_to_qubits(2 * j, n)
+        splits = {labels[q] for q in side} & {labels[q] for q in range(n) if q not in side}
+        top = 2 * HALF if leak or not splits else HALF - 1
+        units.append(draw(st.integers(0, top)))
+    minus = draw(st.integers(0, HALF))
+    total = 2 * minus + 2 * HALF + 2 * sum(units)
+    return GhzWeights(
+        n,
+        (minus + 2 * HALF) / total,
+        minus / total,
+        [u / total for u in units],
+        delta=2 * HALF / total,
+    )
+
+
+@settings(max_examples=100)
+@given(w=weights_with_positive_set(), data=st.data())
+def test_pair_rule_matches_enumeration_and_dense_oracle(w, data):
+    n = w.n_qubits
+    expected = frozenset(
+        (i, k) for i, k in combinations(range(n), 2) if reference_pair_distillable(w, i, k)
+    )
+    assert classify_family(w).distillable_pairs == expected
+    for i, k in combinations(range(n), 2):
+        assert pair_distillable(w, i, k) is ((i, k) in expected)
+        assert pair_distillable(w, k, i) is ((i, k) in expected)
+    if n <= 5:
+        rho = family_density(w)
+        positive = [mask for mask in bipartition_masks(n) if tensor.is_ppt(rho, mask)]
+        dense = frozenset(
+            (i, k)
+            for i, k in combinations(range(n), 2)
+            if all((mask >> (n - 1 - i)) & 1 == (mask >> (n - 1 - k)) & 1 for mask in positive)
+        )
+        assert dense == expected
+    # relabeling the qubits relabels the distillable pairs
+    source = data.draw(st.permutations(range(n)))
+    position = {old: new for new, old in enumerate(source)}
+    moved = frozenset(tuple(sorted((position[i], position[k]))) for i, k in expected)
+    assert classify_family(permute_weights(w, source)).distillable_pairs == moved

@@ -57,6 +57,18 @@ def test_threshold_rejects_small_n(capsys):
     assert "n >= 3" in err
 
 
+def test_threshold_largest_n(capsys):
+    code, doc, _ = run_json(capsys, "threshold", "--n", "1024")
+    assert code == 0
+    assert doc["threshold_decimal"] == 2.0**-1023
+    # 2**(n-1) no longer fits in a double: rejected before it is built
+    for n in ("1025", "100000"):
+        code, out, err = run(capsys, "threshold", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "n <= 1024" in err
+
+
 def test_classify_weights_file(capsys, tmp_path):
     path = write_weights(tmp_path / "w.json", werner_like(3, 0.21))
     code, doc, _ = run_json(capsys, "classify", "--input", path)
@@ -232,6 +244,15 @@ def test_witness_ensemble_out_file(capsys, tmp_path):
     assert code == 0
     saved = json.loads(out_path.read_text(encoding="utf-8"))
     assert len(saved["terms"]) == 6
+
+
+def test_witness_ensemble_out_unwritable(capsys, tmp_path):
+    path = write_weights(tmp_path / "w.json", werner_like(3, 0.2))
+    target = tmp_path / "missing" / "ensemble.json"
+    code, out, err = run(capsys, "witness", "--input", path, "--ensemble-out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"sepkit: cannot write {target}: No such file or directory\n"
 
 
 def test_witness_refuses_ensemble_outside_class5(capsys, tmp_path):

@@ -212,7 +212,7 @@ EXCESSES = st.floats(min_value=0.0, max_value=4.0).map(lambda digits: 10.0**-dig
 REFERENCE_LIMIT = 2000
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(lam1=PAIR_WEIGHTS, lam3=PAIR_WEIGHTS, excess=EXCESSES)
 def test_minimal_m_raw_matches_exact_scan(lam1, lam3, excess):
     half_delta = (max(lam1, lam3) or 0.25) * (1.0 + excess)

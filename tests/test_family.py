@@ -214,6 +214,22 @@ def test_weights_validation():
     assert w.lambdas[2] == 0.0
 
 
+def test_lambdas_are_a_read_only_float_copy():
+    given = [0.1, 0.0, 0.1]
+    w = GhzWeights(3, 0.5, 0.1, given)
+    given[0] = 0.3
+    assert w.lambdas.tolist() == [0.1, 0.0, 0.1]
+    assert w.lambdas.dtype == np.float64 and w.lambdas.shape == (3,)
+    assert type(w.lam(1)) is float
+    with pytest.raises(ValueError):
+        w.lambdas[0] = 0.2
+    with pytest.raises(ValueError):
+        GhzWeights(3, 0.5, 0.1, [[0.1, 0.0, 0.1]])  # not 1-d
+    # the first weight beyond the clamp is the one named
+    with pytest.raises(ValueError, match=r"^lambda_2 = -0\.1 is negative beyond tolerance$"):
+        GhzWeights(3, 0.5, 0.5, (0.1, -0.1, -0.2))
+
+
 def test_random_weights_are_canonical_and_normalized():
     rng = np.random.default_rng(61)
     for n in (2, 3, 4):

@@ -60,7 +60,7 @@ def test_load_weights_with_rationals(tmp_path):
     }
     state = stateio.load_state(write_json(tmp_path / "s.json", doc))
     assert state.weights.lambda0_plus == 0.4
-    assert state.weights.lambdas == (0.2, 0.05, 0.05)
+    assert state.weights.lambdas.tolist() == [0.2, 0.05, 0.05]
     assert any("rational" in note for note in state.notes)
 
 

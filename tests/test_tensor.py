@@ -180,14 +180,6 @@ def test_permute_qubits_matches_brute_force():
         )
 
 
-def test_permute_index_bits_roundtrip():
-    source = (2, 0, 3, 1)
-    inverse = [source.index(i) for i in range(4)]
-    for idx in range(16):
-        once = tensor.permute_index_bits(idx, source, 4)
-        assert tensor.permute_index_bits(once, inverse, 4) == idx
-
-
 def test_partial_trace_of_product():
     rng = np.random.default_rng(31)
     a = random_density(1, rng)
