@@ -13,7 +13,9 @@ pair weights become lambda_k**M, the (0,7) coherence (delta/2)**M, and the
 projection then yields a two-qubit state with Bell fidelity
 lambda0_plus + lambda2 (probability 1/2), which exceeds 1/2 exactly when
 delta/2 > lambda_1 + lambda_3. `amplify` implements the closed form and
-`dense_filter_oracle` the literal tensor construction it must match.
+`dense_filter_oracle` the literal tensor construction it must match, kept
+to the nonzero entries of the M-fold power (at most 10**M of them) rather
+than an 8**M-dimensional matrix.
 
 The weights are taken in the projection frame: `family.permute_weights`
 moves the spectator qubit to the first position and the pair after it.
@@ -30,9 +32,10 @@ from . import tensor
 from .classify import separable_wrt
 from .family import GhzWeights, family_density, permute_weights
 
-# 3 * DENSE_ORACLE_MAX_COPIES qubits is the largest register the dense
-# oracle will materialize (4096-dimensional at the cap).
-DENSE_ORACLE_MAX_COPIES = 4
+# The oracle holds up to 10**m nonzero entries of the m-fold power: its
+# peak is about 7 MB at m = 5 and 70 MB at m = 6, where a whole command
+# would reach the 100 MB it may use.
+DENSE_ORACLE_MAX_COPIES = 5
 
 
 @dataclass(frozen=True)
@@ -110,17 +113,17 @@ def amplify(w: GhzWeights, m: int) -> tuple[GhzWeights, float]:
     return out, total * scale**m
 
 
-def _trio_to_party_order(m: int) -> list[int]:
-    # New position p*m + t holds copy t's qubit of party p.
-    return [3 * t + p for p in range(3) for t in range(m)]
-
-
 def dense_filter_oracle(w: GhzWeights, m: int) -> tuple[np.ndarray, float]:
-    """Brute-force filtered state: m-fold tensor power, filter, reduce.
+    """Literal filtered state: m-fold tensor power, filter, reduce.
 
-    Builds the full 8**m density matrix, regroups qubits party-major,
-    applies the filter on each party's block (conjugated on the column
-    side), and partial-traces down to the first trio. Returns the
+    Works entry by entry on the nonzeros: a family state has 2**3 + 2 of
+    them, so its m-fold power has at most 10**m. Each entry is addressed by
+    six m-bit indices, the row and then the column bits of each party with
+    copy 0 most significant. The power is built by index arithmetic, its
+    values multiplied left to right as np.kron does; each party's filter,
+    read from the nonzeros of `filter_operator`, acts on its row bits and,
+    conjugated, on its column bits; the partial trace keeps copy 0 of each
+    party where the other copies' row and column bits agree. Returns the
     normalized trio state and the success probability.
     """
     _require_three_qubits(w)
@@ -129,23 +132,40 @@ def dense_filter_oracle(w: GhzWeights, m: int) -> tuple[np.ndarray, float]:
     if m > DENSE_ORACLE_MAX_COPIES:
         raise ValueError(f"dense oracle capped at {DENSE_ORACLE_MAX_COPIES} copies")
     rho = family_density(w)
-    big = rho
+    rows, cols = np.nonzero(rho)
+    values = rho[rows, cols]
+    shifts = np.arange(2, -1, -1)[:, None]
+    bits = np.concatenate([(rows >> shifts) & 1, (cols >> shifts) & 1])
+    idx, val = bits, values
     for _ in range(m - 1):
-        big = np.kron(big, rho)
-    if m > 1:
-        big = tensor.permute_qubits(big, _trio_to_party_order(m))
+        idx = (2 * idx[:, :, None] + bits[:, None, :]).reshape(6, -1)
+        val = (val[:, None] * values[None, :]).reshape(-1)
     p = filter_operator(m)
-    block = 1 << m
-    t = big.reshape((block,) * 6)
-    for axis in range(3):
-        t = np.moveaxis(np.tensordot(p, t, axes=(1, axis)), 0, axis)
-    for axis in range(3, 6):
-        t = np.moveaxis(np.tensordot(p.conj(), t, axes=(1, axis)), 0, axis)
-    filtered = t.reshape(block**3, block**3)
-    prob = filtered.trace().real
+    outs, ins = np.nonzero(p)
+    taps = p[outs, ins]
+    for axis in range(6):
+        moved_idx, moved_val = [], []
+        for out, src, tap in zip(outs, ins, taps if axis < 3 else taps.conj()):
+            hit = idx[axis] == src
+            moved = idx[:, hit]
+            moved[axis] = out
+            moved_idx.append(moved)
+            moved_val.append(tap * val[hit])
+        idx, val = np.concatenate(moved_idx, axis=1), np.concatenate(moved_val)
+    # the whole zero-padded diagonal, as in the trace of the dense matrix:
+    # numpy's pairwise summation groups the terms by position
+    on_diagonal = (idx[:3] == idx[3:]).all(axis=0)
+    diagonal = np.zeros(8**m, dtype=complex)
+    np.add.at(diagonal, (idx[0] << 2 * m | idx[1] << m | idx[2])[on_diagonal], val[on_diagonal])
+    prob = diagonal.sum().real
     if prob < tensor.DEGENERATE_PROBABILITY:
         raise tensor.DegenerateOutcomeError("filter success probability is zero")
-    trio = tensor.partial_trace(filtered, keep=(0, m, 2 * m))
+    rest = (1 << (m - 1)) - 1
+    traced = ((idx[:3] & rest) == (idx[3:] & rest)).all(axis=0)
+    kept = idx[:, traced] >> (m - 1)
+    trio = np.zeros((8, 8), dtype=complex)
+    trio_row = kept[0] << 2 | kept[1] << 1 | kept[2]
+    np.add.at(trio, (trio_row, kept[3] << 2 | kept[4] << 1 | kept[5]), val[traced])
     return trio / prob, float(prob)
 
 

@@ -65,10 +65,17 @@ class GhzWeights:
     def __post_init__(self):
         if self.n_qubits < 2:
             raise ValueError("the family needs at least 2 qubits")
-        expected = (1 << (self.n_qubits - 1)) - 1
         lams = np.array(self.lambdas, dtype=float)
-        if lams.shape != (expected,):
-            raise ValueError(f"expected {expected} pair weights, got shape {lams.shape}")
+        # 2**(n-1) - 1 has bit length n - 1: comparing that first keeps the
+        # shift no wider than the count the array holds
+        if (
+            lams.ndim != 1
+            or lams.size.bit_length() != self.n_qubits - 1
+            or lams.size != (1 << (self.n_qubits - 1)) - 1
+        ):
+            raise ValueError(
+                f"expected 2**{self.n_qubits - 1} - 1 pair weights, got shape {lams.shape}"
+            )
         object.__setattr__(self, "lambda0_plus", _clamped(self.lambda0_plus, "lambda0_plus"))
         object.__setattr__(self, "lambda0_minus", _clamped(self.lambda0_minus, "lambda0_minus"))
         if lams.min() < 0.0:
@@ -208,10 +215,10 @@ def random_weights(n: int, rng: np.random.Generator) -> GhzWeights:
 def permute_weights(w: GhzWeights, source) -> GhzWeights:
     """Weights of the same state after relabeling qubits.
 
-    ``source[i]`` is the old qubit placed at new register position i, the
-    same convention as tensor.permute_qubits; the j = 0 pair is invariant
-    and the pair weights, laid out at indices 2j and ~2j as on the diagonal
-    of family_density, move with the permuted index bits.
+    ``source[i]`` is the old qubit placed at new register position i. The
+    j = 0 pair is invariant, and the pair weights, laid out at indices 2j
+    and ~2j as on the diagonal of family_density, move with the permuted
+    index bits.
     """
     n = w.n_qubits
     source = list(source)

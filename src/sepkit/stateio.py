@@ -130,7 +130,8 @@ def _parse_matrix(n: int, raw: dict, notes: list[str]) -> np.ndarray:
         raise StateFileError("matrix entries must be finite numbers")
     if re.ndim != 2 or re.shape != im.shape or re.shape[0] != re.shape[1]:
         raise StateFileError("matrix re/im must be equal-shape square 2-d arrays")
-    if re.shape[0] != (1 << n):
+    # 2**n has bit length n + 1; compared first, n never sizes a shift
+    if re.shape[0].bit_length() != n + 1 or re.shape[0] != 1 << n:
         raise StateFileError(
             f"matrix dimension {re.shape[0]} does not match n_qubits={n}"
         )

@@ -144,34 +144,6 @@ def partial_transpose(rho: np.ndarray, mask: int) -> np.ndarray:
     return t.transpose(axes).reshape(rho.shape)
 
 
-def permute_qubits(rho: np.ndarray, source) -> np.ndarray:
-    """Relabel qubits: output register position i carries input qubit source[i]."""
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits_of(rho.shape[0])
-    source = list(source)
-    if sorted(source) != list(range(n)):
-        raise ValueError(f"{source} is not a permutation of {n} qubits")
-    axes = source + [n + q for q in source]
-    return rho.reshape([2] * (2 * n)).transpose(axes).reshape(rho.shape)
-
-
-def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
-    """Trace out every qubit not listed in ``keep`` (kept qubits stay ordered)."""
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits_of(rho.shape[0])
-    keep = sorted(set(keep))
-    if any(not 0 <= q < n for q in keep):
-        raise ValueError("keep list out of range")
-    if len(keep) == n:
-        return rho.copy()
-    t = rho.reshape([2] * (2 * n))
-    row = list(range(n))
-    col = [n + q if q in keep else q for q in range(n)]
-    out = [q for q in keep] + [n + q for q in keep]
-    d = 1 << len(keep)
-    return np.einsum(t, row + col, out).reshape(d, d)
-
-
 def min_eigenvalue(h: np.ndarray, herm_atol: float = HERMITIAN_ATOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     h = np.asarray(h)

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from sepkit import GhzWeights, classify_family, pt_positive_analytic, random_weights
+from sepkit import (
+    GhzWeights,
+    classify_family,
+    family_density,
+    filter_operator,
+    pt_positive_analytic,
+    random_weights,
+)
 from sepkit import tensor
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -99,3 +106,61 @@ def reference_pair_distillable(w, i, k):
         if pt_positive_analytic(w, tensor.qubits_to_mask(side, n)):
             return False
     return True
+
+
+def permute_qubits(rho, source):
+    """Relabel qubits: output register position i carries input qubit source[i]."""
+    rho = np.asarray(rho, dtype=complex)
+    n = tensor.n_qubits_of(rho.shape[0])
+    source = list(source)
+    if sorted(source) != list(range(n)):
+        raise ValueError(f"{source} is not a permutation of {n} qubits")
+    axes = source + [n + q for q in source]
+    return rho.reshape([2] * (2 * n)).transpose(axes).reshape(rho.shape)
+
+
+def partial_trace(rho, keep):
+    """Trace out every qubit not listed in ``keep`` (kept qubits stay ordered)."""
+    rho = np.asarray(rho, dtype=complex)
+    n = tensor.n_qubits_of(rho.shape[0])
+    keep = sorted(set(keep))
+    if any(not 0 <= q < n for q in keep):
+        raise ValueError("keep list out of range")
+    if len(keep) == n:
+        return rho.copy()
+    t = rho.reshape([2] * (2 * n))
+    row = list(range(n))
+    col = [n + q if q in keep else q for q in range(n)]
+    out = [q for q in keep] + [n + q for q in keep]
+    d = 1 << len(keep)
+    return np.einsum(t, row + col, out).reshape(d, d)
+
+
+def reference_dense_filter_oracle(w, m):
+    """Filtered trio state from the full 8**m x 8**m matrix.
+
+    The m-fold Kronecker power, regrouped party-major (position p*m + t
+    holds copy t's qubit of party p), each party's filter applied by
+    tensordot on the row side and, conjugated, on the column side, then a
+    partial trace down to copy 0 of each party. Memory grows as 64**m:
+    about 1 GB at m = 4.
+    """
+    rho = family_density(w)
+    big = rho
+    for _ in range(m - 1):
+        big = np.kron(big, rho)
+    if m > 1:
+        big = permute_qubits(big, [3 * t + p for p in range(3) for t in range(m)])
+    p = filter_operator(m)
+    block = 1 << m
+    t = big.reshape((block,) * 6)
+    for axis in range(3):
+        t = np.moveaxis(np.tensordot(p, t, axes=(1, axis)), 0, axis)
+    for axis in range(3, 6):
+        t = np.moveaxis(np.tensordot(p.conj(), t, axes=(1, axis)), 0, axis)
+    filtered = t.reshape(block**3, block**3)
+    prob = filtered.trace().real
+    if prob < tensor.DEGENERATE_PROBABILITY:
+        raise tensor.DegenerateOutcomeError("filter success probability is zero")
+    trio = partial_trace(filtered, keep=(0, m, 2 * m))
+    return trio / prob, float(prob)

@@ -102,7 +102,7 @@ def test_criterion_4_filter_recurrence_vs_dense_oracle():
         rng = np.random.default_rng(20260811)
         for _ in range(100):
             w = random_weights(3, rng)
-            for m in (2, 3):
+            for m in (2, 3, 4):
                 filtered, prob = amplify(w, m)
                 sigma, prob_oracle = dense_filter_oracle(w, m)
                 assert np.abs(family_density(filtered) - sigma).max() <= 1e-10

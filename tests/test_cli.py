@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,25 @@ def test_threshold_largest_n(capsys):
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "n <= 1024" in err
+
+
+@pytest.mark.parametrize("n", [100_000, 10**10])
+def test_huge_n_qubits_rejected_before_any_shift(capsys, tmp_path, n):
+    weights = {"lambda0_plus": 0.6, "lambda0_minus": 0.0, "lambdas": [0.1, 0.05, 0.05]}
+    matrix = {"re": [[0.5, 0.0], [0.0, 0.5]]}
+    cases = (
+        ("weights", weights, f"expected 2**{n - 1} - 1 pair weights, got shape (3,)"),
+        ("matrix", matrix, f"matrix dimension 2 does not match n_qubits={n}"),
+    )
+    for key, body, diagnostic in cases:
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"n_qubits": n, key: body}), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--input", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and diagnostic in err
 
 
 def test_classify_weights_file(capsys, tmp_path):
@@ -171,6 +191,27 @@ def test_distill_werner_03(capsys, tmp_path):
     assert doc["projected_qubit"] == "A"
     assert doc["oracle"]["state_max_abs_deviation"] <= 1e-10
     assert doc["oracle"]["probability_abs_deviation"] <= 1e-12
+
+
+def test_distill_oracle_at_cap(capsys):
+    path = str(STATES / "werner3_x030.json")
+    code, doc, _ = run_json(
+        capsys, "distill", "--input", path, "--pair", "B,C", "--m", "5", "--oracle"
+    )
+    assert code == 0
+    assert doc["oracle"]["m"] == 5
+    assert doc["oracle"]["state_max_abs_deviation"] <= 1e-10
+    assert doc["oracle"]["probability_abs_deviation"] <= 1e-10
+
+
+def test_distill_oracle_skipped_above_cap(capsys):
+    path = str(STATES / "werner3_x030.json")
+    code, doc, _ = run_json(
+        capsys, "distill", "--input", path, "--pair", "B,C", "--m", "6", "--oracle"
+    )
+    assert code == 0
+    assert doc["m_used"] == 6
+    assert doc["oracle"] == {"skipped": "m=6 exceeds the dense-oracle cap (5)"}
 
 
 def test_distill_pair_by_index(capsys, tmp_path):

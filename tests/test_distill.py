@@ -1,15 +1,18 @@
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     BELL_PHI_PLUS,
     KET_PLUS,
     exact_margin,
+    permute_qubits,
+    reference_dense_filter_oracle,
     reference_minimal_m,
     weights_max_diff,
 )
@@ -31,6 +34,7 @@ from sepkit import (
     werner_like,
 )
 from sepkit import tensor
+from sepkit.distill import DENSE_ORACLE_MAX_COPIES
 
 CLASS2_WEIGHTS = GhzWeights(3, 0.4, 0.0, (0.2, 0.05, 0.05))
 
@@ -151,7 +155,45 @@ def test_dense_oracle_single_copy_and_structure():
 
 def test_dense_oracle_rejects_above_cap():
     with pytest.raises(ValueError):
-        dense_filter_oracle(werner_like(3, 0.3), 5)
+        dense_filter_oracle(werner_like(3, 0.3), DENSE_ORACLE_MAX_COPIES + 1)
+
+
+@st.composite
+def oracle_weights(draw):
+    """random_weights(3) from a drawn seed, with a drawn subset of
+    lambda0_minus and the three pair weights set to zero and the rest
+    rescaled; zeroing all four gives the pure GHZ state."""
+    w = random_weights(3, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    zeroed = draw(st.lists(st.integers(1, 4), unique=True, max_size=4))
+    if not zeroed:
+        return w
+    masses = np.array([w.lambda0_plus, w.lambda0_minus, *(2.0 * w.lambdas)])
+    masses[zeroed] = 0.0
+    masses /= masses.sum()
+    return GhzWeights(3, masses[0], masses[1], masses[2:] / 2.0)
+
+
+@settings(max_examples=300)
+@example(w=GhzWeights(3, 1.0, 0.0, (0.0, 0.0, 0.0)), m=3)
+@example(w=CLASS2_WEIGHTS, m=3)
+@example(w=werner_like(3, 0.3), m=3)
+@given(w=oracle_weights(), m=st.integers(min_value=1, max_value=3))
+def test_dense_oracle_bit_identical_to_full_matrix(w, m):
+    sigma, prob = dense_filter_oracle(w, m)
+    full_sigma, full_prob = reference_dense_filter_oracle(w, m)
+    assert np.array_equal(sigma, full_sigma)
+    assert prob == full_prob
+
+
+def test_dense_oracle_memory_at_cap():
+    # werner_like(3, 0.3) has all ten nonzeros a family state can have
+    tracemalloc.start()
+    try:
+        dense_filter_oracle(werner_like(3, 0.3), DENSE_ORACLE_MAX_COPIES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_amplification_ratio_strictly_increases():
@@ -267,7 +309,7 @@ def test_relabel_agrees_with_permutation_and_oracle():
                     continue
                 spectator = 3 - i - k
                 frame = permute_weights(w, (spectator, i, k))
-                dense = tensor.permute_qubits(family_density(w), (spectator, i, k))
+                dense = permute_qubits(family_density(w), (spectator, i, k))
                 assert weights_max_diff(frame, depolarize(dense)) <= 1e-12
                 # positivity pattern must travel with the relabeling
                 assert separable_wrt(w, i) == separable_wrt(frame, 1)
