@@ -18,7 +18,6 @@ from .classify import (
     pair_distillable,
     partition_lambda_index,
     pt_positive_analytic,
-    pt_positive_numeric,
     separable_wrt,
 )
 from .distill import (
@@ -86,7 +85,6 @@ __all__ = [
     "phi_product_factors",
     "plan_pair_distillation",
     "pt_positive_analytic",
-    "pt_positive_numeric",
     "random_weights",
     "rho_hat_density",
     "separable_wrt",

@@ -9,9 +9,8 @@ whose shared diagonal entry is lambda_{j(S)}. The pair index is
     j(S) = (~mask(S)) >> 1       otherwise,
 
 which also shows why S and its complement give the same answer. Every
-predicate here is an exact closed-form comparison; `pt_positive_numeric`
-rebuilds the dense matrix and diagonalizes, serving as the independent
-ground truth.
+predicate here is an exact closed-form comparison. The test suite checks
+them against the dense ground truth, `tensor.is_ppt` of `family_density(w)`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor
-from .family import GhzWeights, family_density
+from .family import GhzWeights
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,6 @@ def pt_positive_analytic(w: GhzWeights, mask: int) -> bool:
     """
     j = partition_lambda_index(mask, w.n_qubits)
     return w.delta <= 2.0 * w.lam(j)
-
-
-def pt_positive_numeric(
-    w: GhzWeights, mask: int, tol: float = tensor.DEFAULT_PT_TOL
-) -> bool:
-    """Eigenvalue-oracle counterpart of pt_positive_analytic."""
-    return tensor.is_ppt(family_density(w), mask, tol=tol)
 
 
 def separable_wrt(w: GhzWeights, qubit: int) -> bool:

@@ -4,6 +4,9 @@ Subcommands: classify, depolarize, distill, witness, threshold.
 Reports go to stdout (JSON by default, ``--text`` for a summary),
 diagnostics to stderr. Exit codes: 0 success, 2 invalid input, 3 requested
 result not applicable (e.g. the pair is not distillable).
+
+Each ``cmd_*`` returns (report, text lines, refusal) and ``main`` alone
+writes them out; a refusal is the reason for exit 3, else None.
 """
 
 from __future__ import annotations
@@ -31,46 +34,38 @@ DEPOLARIZED_NOTE = (
 )
 
 
-def _resolve_weights(state: stateio.StateInput) -> tuple[GhzWeights, bool]:
-    if state.weights is not None:
-        return state.weights, False
-    return depolarize(state.matrix), True
-
-
-def _pt_label(mask: int, n: int) -> str:
-    return "".join(qubit_label(q) for q in tensor.mask_to_qubits(mask, n))
+def _load(args, command: str, tolerance: float) -> tuple[GhzWeights, dict]:
+    """Load the input state, depolarizing a matrix, and the shared report header."""
+    state = stateio.load_state(args.input)
+    depolarized = state.weights is None
+    w = depolarize(state.matrix) if depolarized else state.weights
+    header = {
+        "tool_version": __version__,
+        "command": command,
+        "tolerance": tolerance,
+        "n_qubits": w.n_qubits,
+        "depolarized": depolarized,
+        "input_notes": list(state.notes),
+    }
+    return w, header
 
 
 def _pair_labels(pair) -> list[str]:
     return [qubit_label(q) for q in sorted(pair)]
 
 
-def _emit(args, report: dict, text_lines: list[str]) -> None:
-    if args.fmt == "text":
-        sys.stdout.write("\n".join(text_lines) + "\n")
-    else:
-        sys.stdout.write(stateio.dump_report(report, args.precision))
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def cmd_classify(args) -> int:
-    state = stateio.load_state(args.input)
-    w, depolarized = _resolve_weights(state)
+def cmd_classify(args) -> tuple[dict, list[str], str | None]:
+    w, report = _load(args, "classify", tensor.DEFAULT_PT_TOL)
     rep = classify_mod.classify_family(w)
     n = w.n_qubits
-    report = {
-        "tool_version": __version__,
-        "command": "classify",
-        "tolerance": tensor.DEFAULT_PT_TOL,
-        "n_qubits": n,
-        "depolarized": depolarized,
-        "input_notes": list(state.notes),
+    report |= {
         "weights": stateio.weights_dict(w),
         "pt_positive": {
-            _pt_label(mask, n): positive for mask, positive in sorted(rep.pt_positive.items(), reverse=True)
+            qubit_label(q): rep.pt_positive[tensor.qubits_to_mask((q,), n)] for q in range(n)
         },
         "class": rep.class3,
         "biseparable_qubits": [qubit_label(q) for q in sorted(rep.biseparable_qubits)],
@@ -79,7 +74,7 @@ def cmd_classify(args) -> int:
         "distillable_pairs": [_pair_labels(p) for p in sorted(rep.distillable_pairs)],
         "activation_hint": _pair_labels(rep.activation_hint) if rep.activation_hint else None,
     }
-    if depolarized:
+    if report["depolarized"]:
         report["note"] = DEPOLARIZED_NOTE
     if n != 3:
         report["ghz_distillable_note"] = (
@@ -87,7 +82,8 @@ def cmd_classify(args) -> int:
             "for every bipartition"
         )
     lines = [
-        f"state: {n} qubits" + (" (depolarized from matrix input)" if depolarized else ""),
+        f"state: {n} qubits"
+        + (" (depolarized from matrix input)" if report["depolarized"] else ""),
         "PT positive: "
         + "  ".join(f"{lab}={_yesno(v)}" for lab, v in report["pt_positive"].items()),
         f"class: {rep.class3 if rep.class3 is not None else 'n/a (not 3 qubits)'}",
@@ -98,22 +94,12 @@ def cmd_classify(args) -> int:
         "activation hint: "
         + ("".join(report["activation_hint"]) if report["activation_hint"] else "none"),
     ]
-    _emit(args, report, lines)
-    return EXIT_OK
+    return report, lines, None
 
 
-def cmd_depolarize(args) -> int:
-    state = stateio.load_state(args.input)
-    w, depolarized = _resolve_weights(state)
-    report = {
-        "tool_version": __version__,
-        "command": "depolarize",
-        "tolerance": tensor.DEFAULT_PT_TOL,
-        "n_qubits": w.n_qubits,
-        "depolarized": depolarized,
-        "input_notes": list(state.notes),
-        "weights": stateio.weights_dict(w),
-    }
+def cmd_depolarize(args) -> tuple[dict, list[str], str | None]:
+    w, report = _load(args, "depolarize", tensor.DEFAULT_PT_TOL)
+    report["weights"] = stateio.weights_dict(w)
     lines = [
         f"n_qubits: {w.n_qubits}",
         f"lambda0_plus:  {w.lambda0_plus!r}",
@@ -122,11 +108,10 @@ def cmd_depolarize(args) -> int:
         f"delta: {w.delta!r}",
         f"basis flipped: {_yesno(w.basis_flipped)}",
     ]
-    _emit(args, report, lines)
-    return EXIT_OK
+    return report, lines, None
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> tuple[dict, list[str], str | None]:
     # checked before 1 << (n - 1) is built; beyond max_exp it overflows a double
     if not 3 <= args.n <= sys.float_info.max_exp:
         raise StateFileError(f"threshold is computed for n >= 3 and n <= {sys.float_info.max_exp}")
@@ -143,14 +128,11 @@ def cmd_threshold(args) -> int:
             "and distillable exactly above this mixing weight"
         ),
     }
-    lines = [f"1/{denominator} = {value!r}"]
-    _emit(args, report, lines)
-    return EXIT_OK
+    return report, [f"1/{denominator} = {value!r}"], None
 
 
-def cmd_distill(args) -> int:
-    state = stateio.load_state(args.input)
-    w, depolarized = _resolve_weights(state)
+def cmd_distill(args) -> tuple[dict, list[str], str | None]:
+    w, report = _load(args, "distill", tensor.DEFAULT_PT_TOL)
     if w.n_qubits != 3:
         raise StateFileError("distillation planning requires a 3-qubit state")
     tokens = args.pair.split(",")
@@ -159,16 +141,8 @@ def cmd_distill(args) -> int:
     i, k = (stateio.parse_qubit(t, 3) for t in tokens)
     if i == k:
         raise StateFileError("--pair expects two distinct qubits")
-    report = {
-        "tool_version": __version__,
-        "command": "distill",
-        "tolerance": tensor.DEFAULT_PT_TOL,
-        "n_qubits": 3,
-        "depolarized": depolarized,
-        "input_notes": list(state.notes),
-        "pair": [qubit_label(q) for q in sorted((i, k))],
-        "projected_qubit": qubit_label(3 - i - k),
-    }
+    report["pair"] = _pair_labels((i, k))
+    report["projected_qubit"] = qubit_label(3 - i - k)
     outcome = distill_mod.plan_pair_distillation(w, i, k, m=args.m)
     if outcome is None:
         report["distillable"] = False
@@ -176,21 +150,17 @@ def cmd_distill(args) -> int:
             "a partial transpose separating the pair is positive; no filtering "
             "protocol can distill this pair"
         )
-        _emit(args, report, ["not distillable: " + report["reason"]])
-        print("sepkit: pair is not distillable", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    report.update(
-        {
-            "distillable": True,
-            "m_used": outcome.m_used,
-            "m_was_given": args.m is not None,
-            "filtered_weights": stateio.weights_dict(outcome.filtered_weights),
-            "filter_success_probability": outcome.filter_success_probability,
-            "projection_success_probability": outcome.projection_success_probability,
-            "pair_fidelity": outcome.pair_fidelity,
-            "purifiable": outcome.purifiable,
-        }
-    )
+        return report, ["not distillable: " + report["reason"]], "pair is not distillable"
+    report |= {
+        "distillable": True,
+        "m_used": outcome.m_used,
+        "m_was_given": args.m is not None,
+        "filtered_weights": stateio.weights_dict(outcome.filtered_weights),
+        "filter_success_probability": outcome.filter_success_probability,
+        "projection_success_probability": outcome.projection_success_probability,
+        "pair_fidelity": outcome.pair_fidelity,
+        "purifiable": outcome.purifiable,
+    }
     lines = [
         f"pair: {','.join(report['pair'])} (projecting {report['projected_qubit']})",
         f"copies used: {outcome.m_used}",
@@ -202,9 +172,7 @@ def cmd_distill(args) -> int:
         if outcome.m_used <= distill_mod.DENSE_ORACLE_MAX_COPIES:
             relabeled = permute_weights(w, (3 - i - k, i, k))
             sigma, prob = distill_mod.dense_filter_oracle(relabeled, outcome.m_used)
-            state_dev = float(
-                np.abs(family_density(outcome.filtered_weights) - sigma).max()
-            )
+            state_dev = float(np.abs(family_density(outcome.filtered_weights) - sigma).max())
             prob_dev = abs(prob - outcome.filter_success_probability)
             report["oracle"] = {
                 "m": outcome.m_used,
@@ -220,81 +188,64 @@ def cmd_distill(args) -> int:
                 f"({distill_mod.DENSE_ORACLE_MAX_COPIES})"
             }
             lines.append("dense oracle skipped: copy count above cap")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return report, lines, None
 
 
-def cmd_witness(args) -> int:
-    state = stateio.load_state(args.input)
-    w, depolarized = _resolve_weights(state)
+def cmd_witness(args) -> tuple[dict, list[str], str | None]:
+    w, report = _load(args, "witness", args.tol)
     rho_tilde = witness_mod.build_rho_tilde(w)
-    mask_a = tensor.qubits_to_mask((0,), 3)
-    residual = float(
-        np.abs(tensor.partial_transpose(rho_tilde, mask_a) - rho_tilde).max()
-    )
+    pt_a = tensor.partial_transpose(rho_tilde, tensor.qubits_to_mask((0,), 3))
+    residual = float(np.abs(pt_a - rho_tilde).max())
     min_eig = tensor.min_eigenvalue(rho_tilde)
     rep = classify_mod.classify3(w)
-    report = {
-        "tool_version": __version__,
-        "command": "witness",
-        "tolerance": args.tol,
-        "n_qubits": 3,
-        "depolarized": depolarized,
-        "input_notes": list(state.notes),
-        "class": rep.class3,
-        "rho_tilde": {
-            "pt_invariance_residual": residual,
-            "min_eigenvalue": min_eig,
-            "positive_semidefinite": min_eig >= -args.tol,
-            "delta_le_2lambda2": w.delta <= 2.0 * w.lam(2),
-        },
+    report["class"] = rep.class3
+    report["rho_tilde"] = {
+        "pt_invariance_residual": residual,
+        "min_eigenvalue": min_eig,
+        "positive_semidefinite": min_eig >= -args.tol,
+        "delta_le_2lambda2": w.delta <= 2.0 * w.lam(2),
     }
     lines = [
         f"class: {rep.class3}",
         f"rho_tilde PT-invariance residual: {residual:.3e}",
         f"rho_tilde min eigenvalue: {min_eig!r}",
     ]
-    if rep.class3 == 5:
-        ensemble = witness_mod.fully_separable_ensemble(w)
-        hat = witness_mod.rho_hat_density(witness_mod.build_rho_hat(w))
-        recon = witness_mod.verify_ensemble(ensemble, hat)
-        wd = depolarize(hat)
-        round_trip = max(
-            abs(wd.lambda0_plus - w.lambda0_plus),
-            abs(wd.lambda0_minus - w.lambda0_minus),
-            float(np.abs(wd.lambdas - w.lambdas).max()),
-        )
-        report["ensemble"] = {
-            "term_count": len(ensemble.terms),
-            "reconstruction_residual": recon,
-            "depolarize_round_trip_max_error": round_trip,
-            **stateio.ensemble_dict(ensemble),
-        }
-        report["ensemble_error"] = None
-        lines.append(
-            f"separable ensemble: {len(ensemble.terms)} product terms, "
-            f"reconstruction residual {recon:.3e}"
-        )
-        if args.ensemble_out:
-            try:
-                with open(args.ensemble_out, "w", encoding="utf-8") as fh:
-                    fh.write(stateio.dump_report(stateio.ensemble_dict(ensemble), args.precision))
-            except OSError as exc:
-                raise StateFileError(f"cannot write {args.ensemble_out}: {exc.strerror}") from exc
-            lines.append(f"ensemble written to {args.ensemble_out}")
-    else:
+    if rep.class3 != 5:
         report["ensemble"] = None
         report["ensemble_error"] = (
             f"state is in class {rep.class3}, not fully separable; "
             "no product ensemble exists"
         )
         lines.append("separable ensemble: not applicable (" + report["ensemble_error"] + ")")
-        if args.ensemble_out:
-            _emit(args, report, lines)
-            print("sepkit: " + report["ensemble_error"], file=sys.stderr)
-            return EXIT_NOT_APPLICABLE
-    _emit(args, report, lines)
-    return EXIT_OK
+        return report, lines, report["ensemble_error"] if args.ensemble_out else None
+    ensemble = witness_mod.fully_separable_ensemble(w)
+    hat = witness_mod.rho_hat_density(witness_mod.build_rho_hat(w))
+    recon = witness_mod.verify_ensemble(ensemble, hat)
+    wd = depolarize(hat)
+    round_trip = max(
+        abs(wd.lambda0_plus - w.lambda0_plus),
+        abs(wd.lambda0_minus - w.lambda0_minus),
+        float(np.abs(wd.lambdas - w.lambdas).max()),
+    )
+    report["ensemble"] = {
+        "term_count": len(ensemble.terms),
+        "reconstruction_residual": recon,
+        "depolarize_round_trip_max_error": round_trip,
+        **stateio.ensemble_dict(ensemble),
+    }
+    report["ensemble_error"] = None
+    lines.append(
+        f"separable ensemble: {len(ensemble.terms)} product terms, "
+        f"reconstruction residual {recon:.3e}"
+    )
+    if args.ensemble_out:
+        try:
+            with open(args.ensemble_out, "w", encoding="utf-8") as fh:
+                fh.write(stateio.dump_report(stateio.ensemble_dict(ensemble), args.precision))
+        except OSError as exc:
+            raise StateFileError(f"cannot write {args.ensemble_out}: {exc.strerror}") from exc
+        lines.append(f"ensemble written to {args.ensemble_out}")
+    return report, lines, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,9 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sepkit",
         description="Classify, witness and plan distillation for GHZ-diagonal states.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"sepkit {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"sepkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, with_input=True):
@@ -317,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="significant digits for emitted floats (17 = exact round trip)",
         )
         group = sp.add_mutually_exclusive_group()
-        group.add_argument(
-            "--json", dest="fmt", action="store_const", const="json", default="json"
-        )
+        group.add_argument("--json", dest="fmt", action="store_const", const="json", default="json")
         group.add_argument("--text", dest="fmt", action="store_const", const="text")
 
     sp = sub.add_parser("classify", help="separability/distillability classification")
@@ -365,13 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, lines, refusal = args.func(args)
+        # rendered inside the try: an unusable --precision is an input error
+        if args.fmt == "text":
+            out = "\n".join(lines) + "\n"
+        else:
+            out = stateio.dump_report(report, args.precision)
     except ValueError as exc:  # StateFileError included
         print(f"sepkit: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    sys.stdout.write(out)
+    if refusal is None:
+        return EXIT_OK
+    print(f"sepkit: {refusal}", file=sys.stderr)
+    return EXIT_NOT_APPLICABLE
 
 
 def entry() -> None:

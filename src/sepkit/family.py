@@ -144,16 +144,18 @@ def family_density(w: GhzWeights) -> np.ndarray:
     return rho
 
 
-def depolarize(rho: np.ndarray, herm_atol: float = 1e-9, trace_atol: float = 1e-9) -> GhzWeights:
-    """Project a normalized density matrix onto the family.
+def depolarize(rho: np.ndarray) -> GhzWeights:
+    """Project a density matrix onto the family.
 
+    ``rho`` must be Hermitian with unit trace within tensor.DENSITY_ATOL.
     Keeps the GHZ-basis diagonal coefficients: the j = 0 pair weights are
     <psi_0^+-| rho |psi_0^+->, and each lambda_j is the average of the two
-    j-pair expectations. When the raw coefficients give delta < 0 the two
-    j = 0 weights are swapped and ``basis_flipped`` is set.
+    j-pair expectations, all divided by their sum. When the raw
+    coefficients give delta < 0 the two j = 0 weights are swapped and
+    ``basis_flipped`` is set.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = tensor.check_density(rho, herm_atol=herm_atol, trace_atol=trace_atol)
+    n = tensor.check_density(rho)
     if n < 2:
         raise ValueError("the family needs at least 2 qubits")
     dim = 1 << n

@@ -4,10 +4,13 @@ A state file is a JSON document with ``n_qubits`` and exactly one of:
 
 * ``weights``: ``{"lambda0_plus": x, "lambda0_minus": y, "lambdas": [...]}``
   where each number may also be a rational string like ``"1/5"`` (parsed to
-  the nearest double, noted in the report);
-* ``matrix``: ``{"re": [[...]], "im": [[...]]}``, row-major with qubit 0 as
-  the most significant index bit. Matrices must be Hermitian with unit
-  trace within 1e-9.
+  the nearest double, noted in the report). Without an explicit ``delta``,
+  delta is the exact difference lambda0_plus - lambda0_minus rounded once,
+  so exact rational ties delta == 2 * lambda_j read as ties;
+* ``matrix``: ``{"re": [[...]], "im": [[...]]}`` of JSON numbers (booleans
+  and strings are rejected), row-major with qubit 0 as the most
+  significant index bit. Matrices must be Hermitian with unit
+  trace within ``tensor.DENSITY_ATOL``.
 
 Reports are JSON objects with a fixed key order, a ``tool_version`` field,
 and newline-terminated output. By default floats are emitted with the
@@ -27,8 +30,6 @@ import numpy as np
 
 from . import tensor
 from .family import GhzWeights
-
-MATRIX_ATOL = 1e-9
 
 
 class StateFileError(ValueError):
@@ -106,10 +107,17 @@ def _parse_weights(n: int, raw: dict, notes: list[str]) -> GhzWeights:
     if not isinstance(flipped, bool):
         raise StateFileError("weights.basis_flipped must be a boolean")
     try:
+        plus = _number(raw["lambda0_plus"], "lambda0_plus", notes)
+        minus = _number(raw["lambda0_minus"], "lambda0_minus", notes)
+        exact_plus, exact_minus = Fraction(raw["lambda0_plus"]), Fraction(raw["lambda0_minus"])
+        if delta is None and 0 <= exact_minus <= exact_plus:
+            # one rounding of the exact difference, so a rational tie
+            # delta == 2 * lambda_j stays a tie between the doubles
+            delta = float(exact_plus - exact_minus)
         return GhzWeights(
             n_qubits=n,
-            lambda0_plus=_number(raw["lambda0_plus"], "lambda0_plus", notes),
-            lambda0_minus=_number(raw["lambda0_minus"], "lambda0_minus", notes),
+            lambda0_plus=plus,
+            lambda0_minus=minus,
             lambdas=lams,
             basis_flipped=flipped,
             delta=delta,
@@ -135,9 +143,13 @@ def _parse_matrix(n: int, raw: dict, notes: list[str]) -> np.ndarray:
         raise StateFileError(
             f"matrix dimension {re.shape[0]} does not match n_qubits={n}"
         )
+    for key in ("re", "im"):
+        # np.asarray turns booleans and numeric strings into floats unasked
+        if {type(x) for row in raw.get(key, ()) for x in row} - {int, float}:
+            raise StateFileError(f"matrix.{key} entries must be numbers, not booleans or strings")
     rho = re + 1j * im
     try:
-        tensor.check_density(rho, herm_atol=MATRIX_ATOL, trace_atol=MATRIX_ATOL)
+        tensor.check_density(rho)
     except ValueError as exc:
         raise StateFileError(f"invalid density matrix: {exc}") from exc
     tr = rho.trace().real
@@ -153,7 +165,7 @@ def load_state(path: str) -> StateInput:
             doc = json.load(fh)
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, integer-digit limit
         raise StateFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError("state file must be a JSON object")

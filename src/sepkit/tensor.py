@@ -20,8 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-TRACE_ATOL = 1e-12
 NORM_ATOL = 1e-12
+
+# Hermiticity and unit-trace tolerance for density matrices given as input.
+DENSITY_ATOL = 1e-9
 
 # Positivity cutoff for partial-transpose spectra. Kept flat in the
 # dimension: every spectrum handled here belongs to a trace-one operator of
@@ -44,13 +46,6 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
-def ket(amplitudes) -> np.ndarray:
-    """Coerce to a 1-d complex vector of power-of-two length."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    n_qubits_of(v.shape[0])
-    return v
-
-
 def basis_ket(n: int, j: int) -> np.ndarray:
     """Computational-basis ket |j> on n qubits."""
     if not 0 <= j < (1 << n):
@@ -62,17 +57,9 @@ def basis_ket(n: int, j: int) -> np.ndarray:
 
 def density_of(psi) -> np.ndarray:
     """Rank-one density operator |psi><psi| of a normalized ket."""
-    v = ket(psi)
+    v = np.asarray(psi, dtype=complex).reshape(-1)
+    n_qubits_of(v.shape[0])
     return np.outer(v, v.conj())
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product; the first factor supplies the high-order bits."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("kron expects two kets or two operators")
-    return np.kron(a, b)
 
 
 def check_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> None:
@@ -83,21 +70,16 @@ def check_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> None:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {atol:.1e})")
 
 
-def check_density(
-    rho: np.ndarray,
-    normalized: bool = True,
-    herm_atol: float = HERMITIAN_ATOL,
-    trace_atol: float = TRACE_ATOL,
-) -> int:
-    """Validate a density operator, returning its qubit count."""
+def check_density(rho: np.ndarray) -> int:
+    """Validate a unit-trace density operator within DENSITY_ATOL, returning its qubit count."""
     rho = np.asarray(rho)
-    check_hermitian(rho, atol=herm_atol)
+    check_hermitian(rho, atol=DENSITY_ATOL)
     n = n_qubits_of(rho.shape[0])
     tr = rho.trace().real
-    if tr < -trace_atol:
+    if tr < -DENSITY_ATOL:
         raise ValueError(f"negative trace {tr}")
-    if normalized and abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"trace {tr} differs from 1 by more than {trace_atol:.1e}")
+    if abs(tr - 1.0) > DENSITY_ATOL:
+        raise ValueError(f"trace {tr} differs from 1 by more than {DENSITY_ATOL:.1e}")
     return n
 
 
@@ -144,10 +126,10 @@ def partial_transpose(rho: np.ndarray, mask: int) -> np.ndarray:
     return t.transpose(axes).reshape(rho.shape)
 
 
-def min_eigenvalue(h: np.ndarray, herm_atol: float = HERMITIAN_ATOL) -> float:
+def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     h = np.asarray(h)
-    check_hermitian(h, atol=herm_atol)
+    check_hermitian(h)
     return float(np.linalg.eigvalsh(h)[0])
 
 
@@ -159,31 +141,3 @@ def is_ppt(rho: np.ndarray, mask: int, tol: float = DEFAULT_PT_TOL) -> bool:
     """
     return min_eigenvalue(partial_transpose(rho, mask)) >= -tol
 
-
-def project_qubit(rho: np.ndarray, k: int, phi) -> tuple[np.ndarray, float]:
-    """Measure qubit ``k`` and project onto the single-qubit ket ``phi``.
-
-    Returns the normalized post-measurement state of the remaining n-1
-    qubits together with the outcome probability. Raises
-    DegenerateOutcomeError when the outcome probability is below
-    ``DEGENERATE_PROBABILITY``.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits_of(rho.shape[0])
-    if not 0 <= k < n:
-        raise ValueError(f"qubit index {k} out of range for {n} qubits")
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if phi.shape[0] != 2:
-        raise ValueError("projection ket must be a single-qubit state")
-    if abs(np.vdot(phi, phi).real - 1.0) > NORM_ATOL:
-        raise ValueError("projection ket must be normalized")
-    t = rho.reshape([2] * (2 * n))
-    # sigma[i', j'] = sum_{a,b} conj(phi[a]) rho[(i',a at k), (j',b at k)] phi[b]
-    t = np.tensordot(phi.conj(), t, axes=(0, k))
-    t = np.tensordot(phi, t, axes=(0, n - 1 + k))
-    d = 1 << (n - 1)
-    sigma = t.reshape(d, d)
-    prob = sigma.trace().real
-    if prob < DEGENERATE_PROBABILITY:
-        raise DegenerateOutcomeError(f"outcome probability {prob:.3e} below cutoff")
-    return sigma / prob, float(prob)

@@ -164,3 +164,32 @@ def reference_dense_filter_oracle(w, m):
         raise tensor.DegenerateOutcomeError("filter success probability is zero")
     trio = partial_trace(filtered, keep=(0, m, 2 * m))
     return trio / prob, float(prob)
+
+
+def project_qubit(rho, k, phi):
+    """Measure qubit ``k`` and project onto the single-qubit ket ``phi``.
+
+    Returns the normalized post-measurement state of the remaining n-1
+    qubits together with the outcome probability. Raises
+    DegenerateOutcomeError when the outcome probability is below
+    ``tensor.DEGENERATE_PROBABILITY``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    n = tensor.n_qubits_of(rho.shape[0])
+    if not 0 <= k < n:
+        raise ValueError(f"qubit index {k} out of range for {n} qubits")
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    if phi.shape[0] != 2:
+        raise ValueError("projection ket must be a single-qubit state")
+    if abs(np.vdot(phi, phi).real - 1.0) > tensor.NORM_ATOL:
+        raise ValueError("projection ket must be normalized")
+    t = rho.reshape([2] * (2 * n))
+    # sigma[i', j'] = sum_{a,b} conj(phi[a]) rho[(i',a at k), (j',b at k)] phi[b]
+    t = np.tensordot(phi.conj(), t, axes=(0, k))
+    t = np.tensordot(phi, t, axes=(0, n - 1 + k))
+    d = 1 << (n - 1)
+    sigma = t.reshape(d, d)
+    prob = sigma.trace().real
+    if prob < tensor.DEGENERATE_PROBABILITY:
+        raise tensor.DegenerateOutcomeError(f"outcome probability {prob:.3e} below cutoff")
+    return sigma / prob, float(prob)

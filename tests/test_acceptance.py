@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import BELL_PHI_PLUS, KET_PLUS, random_class5_weights, weights_max_diff
+from helpers import (
+    BELL_PHI_PLUS,
+    KET_PLUS,
+    project_qubit,
+    random_class5_weights,
+    weights_max_diff,
+)
 from sepkit import (
     amplify,
     bipartition_masks,
@@ -116,7 +122,7 @@ def test_criterion_5_fidelity_criterion():
             w = random_weights(3, rng)
             fid, prob = pair_fidelity_after_projection(w)
             assert (fid > 0.5) == (w.delta / 2.0 > w.lam(1) + w.lam(3))
-            reduced, dense_prob = tensor.project_qubit(family_density(w), 0, KET_PLUS)
+            reduced, dense_prob = project_qubit(family_density(w), 0, KET_PLUS)
             dense_fid = float(np.real(BELL_PHI_PLUS.conj() @ reduced @ BELL_PHI_PLUS))
             assert abs(fid - dense_fid) <= 1e-12
             assert abs(prob - dense_prob) <= 1e-12
@@ -136,7 +142,7 @@ def test_criterion_6_worked_protocol_instance():
         sigma, prob_oracle = dense_filter_oracle(w, 2)
         assert np.abs(family_density(filtered) - sigma).max() <= 1e-10
         assert abs(prob - prob_oracle) <= 1e-12
-        reduced, _ = tensor.project_qubit(sigma, 0, KET_PLUS)
+        reduced, _ = project_qubit(sigma, 0, KET_PLUS)
         dense_fid2 = float(np.real(BELL_PHI_PLUS.conj() @ reduced @ BELL_PHI_PLUS))
         assert dense_fid2 > 0.5
         assert abs(dense_fid2 - fid2) <= 1e-12
@@ -212,3 +218,13 @@ def test_criterion_9_cli_pipeline_reproduces_goldens():
             actual = _mask_version(buf.getvalue())
             golden = _mask_version((GOLDEN / name).read_text(encoding="utf-8"))
             assert actual == golden, f"{name} deviates from the golden report"
+
+
+@pytest.mark.parametrize("name,argv,expected_code", GOLDEN_RUNS, ids=[r[0][:-5] for r in GOLDEN_RUNS])
+def test_text_output_matches_golden(name, argv, expected_code):
+    argv = [str(STATES / a) if a.endswith(".json") else a for a in argv] + ["--text"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == expected_code
+    assert buf.getvalue() == (GOLDEN / f"{name[:-5]}.txt").read_text(encoding="utf-8")

@@ -18,7 +18,6 @@ from sepkit import (
     partition_lambda_index,
     permute_weights,
     pt_positive_analytic,
-    pt_positive_numeric,
     random_weights,
     separable_wrt,
     werner_like,
@@ -45,7 +44,7 @@ def test_partition_lambda_index_three_qubits():
 def test_pt_positive_analytic_instance():
     for mask, expected in ((0b100, False), (0b010, True), (0b001, False)):
         assert pt_positive_analytic(CLASS2_WEIGHTS, mask) is expected
-        assert pt_positive_numeric(CLASS2_WEIGHTS, mask) is expected
+        assert tensor.is_ppt(family_density(CLASS2_WEIGHTS), mask) is expected
 
 
 def test_pt_positive_boundary_counts_as_positive():
@@ -53,14 +52,14 @@ def test_pt_positive_boundary_counts_as_positive():
     rho = family_density(CLASS2_WEIGHTS)
     pt = tensor.partial_transpose(rho, 0b010)
     assert abs(tensor.min_eigenvalue(pt)) <= 1e-15
-    assert pt_positive_numeric(CLASS2_WEIGHTS, 0b010)
+    assert tensor.is_ppt(rho, 0b010)
 
 
 def test_pt_positive_werner_boundary_all_partitions():
     w = werner_like(3, 0.2)
     for mask in bipartition_masks(3):
         assert pt_positive_analytic(w, mask)
-        assert pt_positive_numeric(w, mask)
+        assert tensor.is_ppt(family_density(w), mask)
 
 
 def test_pt_positive_maximally_mixed():
@@ -73,7 +72,7 @@ def test_pt_pure_ghz_all_negative():
     w = GhzWeights(3, 1.0, 0.0, (0.0, 0.0, 0.0))
     for mask in range(1, 7):
         assert not pt_positive_analytic(w, mask)
-        assert not pt_positive_numeric(w, mask)
+        assert not tensor.is_ppt(family_density(w), mask)
 
 
 @pytest.mark.parametrize("n,count", [(3, 300), (4, 120)])

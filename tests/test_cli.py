@@ -123,6 +123,55 @@ def test_classify_rejects_bad_input(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b'{"n_qubits": ' + b"7" * 5000 + b', "weights": {}}', b'{"n_qubits": 3, "weights": "\xff"}'],
+    ids=["5000-digit-integer", "not-utf8"],
+)
+def test_undecodable_file_named_in_one_line(capsys, tmp_path, body):
+    path = tmp_path / "s.json"
+    path.write_bytes(body)
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"sepkit: {path} is not valid JSON: ")
+
+
+PURE00 = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "matrix,field",
+    [
+        ({"re": [[x == 1 for x in row] for row in PURE00]}, "matrix.re"),
+        ({"re": [["0.25" if i == k else "0" for k in range(4)] for i in range(4)]}, "matrix.re"),
+        ({"re": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, False], [0, 0, False, 0]]}, "matrix.re"),
+        ({"re": PURE00, "im": [[0, 0, 0, 0]] * 3 + [[0, 0, 0, False]]}, "matrix.im"),
+        ({"re": PURE00, "im": [["0"] * 4] * 4}, "matrix.im"),
+    ],
+    ids=["booleans", "strings", "int-bool-mix", "im-boolean", "im-strings"],
+)
+def test_matrix_rejects_boolean_and_string_entries(capsys, tmp_path, matrix, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n_qubits": 2, "matrix": matrix}), encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and field in err
+
+
+def test_rational_tie_reads_positive(capsys, tmp_path):
+    # delta = 7/24 - 17/168 = 4/21 = 2 * lambda_1 exactly
+    weights = {"lambda0_plus": "7/24", "lambda0_minus": "17/168", "lambdas": ["2/21", "1/8", "1/12"]}
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps({"n_qubits": 3, "weights": weights}), encoding="utf-8")
+    code, doc, _ = run_json(capsys, "classify", "--input", str(path))
+    assert code == 0
+    assert doc["weights"]["delta"] == 2 * doc["weights"]["lambdas"][0]
+    assert doc["pt_positive"] == {"A": True, "B": True, "C": False}
+    assert doc["class"] == 3
+
+
 def test_classify_text_mode(capsys, tmp_path):
     path = write_weights(tmp_path / "w.json", werner_like(3, 0.19))
     code, out, err = run(capsys, "classify", "--input", path, "--text")
@@ -324,6 +373,15 @@ def test_precision_flag_rounds_output(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "depolarize", "--input", path, "--precision", "4")
     assert code == 0
     assert doc["weights"]["lambda0_plus"] == 0.3875
+
+
+def test_unusable_precision_is_an_input_error(capsys):
+    path = str(STATES / "werner3_x030.json")
+    for argv in (["classify", "--input", path], ["threshold", "--n", "4"]):
+        code, out, err = run(capsys, *argv, "--precision", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("sepkit:")
 
 
 def test_reports_round_trip_via_json(capsys, tmp_path):

@@ -12,6 +12,7 @@ from helpers import (
     KET_PLUS,
     exact_margin,
     permute_qubits,
+    project_qubit,
     reference_dense_filter_oracle,
     reference_minimal_m,
     weights_max_diff,
@@ -41,7 +42,7 @@ CLASS2_WEIGHTS = GhzWeights(3, 0.4, 0.0, (0.2, 0.05, 0.05))
 
 def dense_projection_fidelity(w):
     """Independent route: project qubit 0 on |+> and take the Bell overlap."""
-    reduced, prob = tensor.project_qubit(family_density(w), 0, KET_PLUS)
+    reduced, prob = project_qubit(family_density(w), 0, KET_PLUS)
     fid = float(np.real(BELL_PHI_PLUS.conj() @ reduced @ BELL_PHI_PLUS))
     return fid, prob
 
@@ -381,7 +382,7 @@ def test_filtered_weights_describe_projected_frame():
     relabeled = permute_weights(CLASS2_WEIGHTS, (1, 0, 2))
     filtered, _ = amplify(relabeled, outcome.m_used)
     assert weights_max_diff(filtered, outcome.filtered_weights) == 0.0
-    reduced, prob = tensor.project_qubit(family_density(filtered), 0, KET_PLUS)
+    reduced, prob = project_qubit(family_density(filtered), 0, KET_PLUS)
     fid = float(np.real(BELL_PHI_PLUS.conj() @ reduced @ BELL_PHI_PLUS))
     assert abs(fid - outcome.pair_fidelity) <= 1e-12
     assert abs(prob - outcome.projection_success_probability) <= 1e-12

