@@ -12,6 +12,7 @@ writes them out; a refusal is the reason for exit 3, else None.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -311,11 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args) -> None:
+    """Reject option values no command can use, naming the option."""
+    if args.precision < 1:
+        raise ValueError(f"--precision must be at least 1, got {args.precision}")
+    tol = getattr(args, "tol", 0.0)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
+    m = getattr(args, "m", None)
+    if m is not None and m < 1:
+        raise ValueError(f"--m must be at least 1, got {m}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         report, lines, refusal = args.func(args)
-        # rendered inside the try: an unusable --precision is an input error
+        # rendered inside the try: a report that is not JSON is an input error
         if args.fmt == "text":
             out = "\n".join(lines) + "\n"
         else:

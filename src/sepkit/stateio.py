@@ -13,7 +13,9 @@ A state file is a JSON document with ``n_qubits`` and exactly one of:
   trace within ``tensor.DENSITY_ATOL``.
 
 Reports are JSON objects with a fixed key order, a ``tool_version`` field,
-and newline-terminated output. By default floats are emitted with the
+and newline-terminated output, emitted byte for byte in the layout of
+``json.dumps(report, indent=2, ensure_ascii=False)``. NaN and infinities,
+which are not JSON, are refused. By default floats are emitted with the
 shortest representation that round-trips exactly; ``precision`` below 17
 rounds to that many significant digits first.
 """
@@ -25,6 +27,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -64,25 +67,31 @@ def parse_qubit(token: str, n: int) -> int:
     return q
 
 
-def _number(value, field: str, notes: list[str]) -> float:
+def _name(field: str | int) -> str:
+    return field if isinstance(field, str) else f"lambdas[{field}]"
+
+
+def _number(value, field: str | int, notes: list[str]) -> float:
+    """``value`` as a finite double. An int ``field`` i stands for ``lambdas[i]``,
+    so the per-entry loop formats a name only for a diagnostic or a note."""
     if isinstance(value, bool):
-        raise StateFileError(f"{field} must be a number")
+        raise StateFileError(f"{_name(field)} must be a number")
     if isinstance(value, (int, float)):
         exact = value
     elif isinstance(value, str):
         try:
             exact = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise StateFileError(f"{field}: cannot parse rational {value!r}") from exc
-        notes.append(f"{field} parsed from rational {value} to nearest double")
+            raise StateFileError(f"{_name(field)}: cannot parse rational {value!r}") from exc
+        notes.append(f"{_name(field)} parsed from rational {value} to nearest double")
     else:
-        raise StateFileError(f"{field} must be a number or rational string")
+        raise StateFileError(f"{_name(field)} must be a number or rational string")
     try:
         number = float(exact)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise StateFileError(f"{field} must be a finite number, got {value!r}")
+        raise StateFileError(f"{_name(field)} must be a finite number, got {value!r}")
     return number
 
 
@@ -95,9 +104,7 @@ def _parse_weights(n: int, raw: dict, notes: list[str]) -> GhzWeights:
     lams_raw = raw["lambdas"]
     if not isinstance(lams_raw, list):
         raise StateFileError("weights.lambdas must be an array")
-    lams = tuple(
-        _number(v, f"lambdas[{i}]", notes) for i, v in enumerate(lams_raw)
-    )
+    lams = tuple(_number(v, i, notes) for i, v in enumerate(lams_raw))
     # optional: an explicit delta (reports emit it so boundary cases round-trip
     # exactly) and the canonicalization flag
     delta = raw.get("delta")
@@ -221,7 +228,62 @@ def round_floats(obj, sig: int):
     return obj
 
 
+# Without an indent this encoder runs in C. allow_nan=False turns NaN and the
+# infinities, which are not JSON, into a ValueError.
+_encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+_SCALARS = (int, float, type(None))  # bool is an int
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _emit(obj, pad: str, out: list[str]) -> None:
+    """Append ``obj`` to ``out`` in the ``indent=2`` layout, nested ``pad`` deep."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            out.append(sep + encode_basestring(key) + ": ")
+            _emit(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        elif all(issubclass(t, _SCALARS) for t in set(map(type, obj))):
+            # one C call; a scalar's text never holds ", "
+            items = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
+            out += ("[\n" + inner, items, "\n" + pad + "]")
+        else:
+            sep = "[\n" + inner
+            for item in obj:
+                out.append(sep)
+                _emit(item, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "]")
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_LITERALS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float) and math.isfinite(obj):
+        out.append(float.__repr__(obj))
+    else:
+        out.append(_encode(obj))  # json's own ValueError or TypeError
+
+
 def dump_report(report: dict, precision: int = 17) -> str:
+    """The text of ``json.dumps(report, indent=2, ensure_ascii=False)`` plus a newline.
+
+    Lists of numbers, booleans and nulls, the bulk of a large report, go
+    through the C encoder in one call each. Keys must be strings; NaN and
+    infinities raise ValueError.
+    """
     if precision < 17:
         report = round_floats(report, precision)
-    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    out: list[str] = []
+    _emit(report, "", out)
+    out.append("\n")
+    return "".join(out)

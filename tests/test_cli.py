@@ -384,6 +384,29 @@ def test_unusable_precision_is_an_input_error(capsys):
         assert err.count("\n") == 1 and err.startswith("sepkit:")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--text"]], ids=["json", "text"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["witness", "--tol", "nan"], "--tol"),
+        (["witness", "--tol", "-1"], "--tol"),
+        (["witness", "--tol", "inf"], "--tol"),
+        (["classify", "--precision", "-1"], "--precision"),
+        (["depolarize", "--precision", "0"], "--precision"),
+        (["distill", "--pair", "B,C", "--m", "0"], "--m"),
+        (["distill", "--pair", "A,B", "--m", "-2"], "--m"),  # a pair that is not distillable
+    ],
+    ids=["tol-nan", "tol-negative", "tol-inf", "precision-negative", "precision-zero",
+         "m-zero", "m-negative"],
+)
+def test_unusable_option_value_is_named(capsys, argv, option, fmt):
+    path = str(STATES / "werner3_x030.json")
+    code, out, err = run(capsys, *argv, "--input", path, *fmt)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"sepkit: {option} ")
+
+
 def test_reports_round_trip_via_json(capsys, tmp_path):
     path = write_weights(tmp_path / "w.json", werner_like(3, 0.27))
     for argv in (

@@ -1,12 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepkit import family_density, ghz_ket, pt_positive_analytic, werner_like
-from sepkit import stateio
+from sepkit import family_density, ghz_ket, pt_positive_analytic, random_weights, werner_like
+from sepkit import stateio, witness
+from sepkit.cli import build_parser
 
 
 def write_json(path, doc):
@@ -149,6 +151,90 @@ def test_dump_report_roundtrip_and_precision():
     rounded = json.loads(stateio.dump_report(report, precision=6))
     assert rounded["a"] == pytest.approx(0.3, abs=1e-6)
     assert rounded["a"] != report["a"]
+
+
+def dumps_indent2(report, precision=17):
+    """What dump_report must print: the stdlib's indent=2 layout."""
+    if precision < 17:
+        report = stateio.round_floats(report, precision)
+    return json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def cli_report(tmp_path, w, command, *options):
+    path = write_json(tmp_path / "s.json", {"n_qubits": w.n_qubits, "weights": stateio.weights_dict(w)})
+    args = build_parser().parse_args([command, "--input", path, *options])
+    return args.func(args)[0]
+
+
+def test_dump_report_matches_json_dumps_on_classify_reports(tmp_path):
+    rng = np.random.default_rng(41)
+    for n in range(2, 17):
+        for w in (random_weights(n, rng), werner_like(n, 0.95), werner_like(n, 1 / (1 + 2 ** (n - 1)))):
+            report = cli_report(tmp_path, w, "classify")
+            assert stateio.dump_report(report) == dumps_indent2(report)
+            assert stateio.dump_report(report, 5) == dumps_indent2(report, 5)
+
+
+def test_dump_report_matches_json_dumps_on_other_reports(tmp_path):
+    rng = np.random.default_rng(43)
+    separable = werner_like(3, 0.15)
+    ensemble = stateio.ensemble_dict(witness.fully_separable_ensemble(separable))
+    threshold = build_parser().parse_args(["threshold", "--n", "7"])
+    reports = [
+        ensemble,
+        threshold.func(threshold)[0],
+        cli_report(tmp_path, separable, "witness"),  # carries an ensemble
+        cli_report(tmp_path, werner_like(3, 0.3), "witness"),  # ensemble null
+        cli_report(tmp_path, werner_like(3, 0.3), "distill", "--pair", "B,C", "--oracle"),
+        cli_report(tmp_path, werner_like(3, 0.2), "distill", "--pair", "A,B"),  # not distillable
+        cli_report(tmp_path, werner_like(3, 0.3), "distill", "--pair", "A,C", "--m", "6", "--oracle"),
+    ]
+    for n in (3, 5, 9):
+        reports.append(cli_report(tmp_path, random_weights(n, rng), "depolarize"))
+    for report in reports:
+        for precision in (17, 5):
+            assert stateio.dump_report(report, precision) == dumps_indent2(report, precision)
+
+
+NUMBERS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e16, 1e-05, 1e-7, 5e-324, 1.7976931348623157e308,
+                       10**30, -(2**70), 2**63])
+)
+STRINGS = st.text() | st.sampled_from(
+    ["", ", ", "a, b", "[1, 2]", "{}", '"quoted"', "back\\slash", "ünï, cödé", "\u2028", "\x00\n"]
+)
+TREES = st.recursive(
+    NUMBERS | STRINGS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.lists(NUMBERS, min_size=1, max_size=8)
+    | st.dictionaries(STRINGS, children, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400)
+@given(tree=TREES)
+def test_dump_report_matches_json_dumps_on_trees(tree):
+    for precision in (17, 5):
+        try:
+            expected = dumps_indent2(tree, precision)
+        except ValueError:  # 5 digits round the largest doubles up to inf
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                stateio.dump_report(tree, precision)
+        else:
+            assert stateio.dump_report(tree, precision) == expected
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, np.float64(math.inf)], ids=repr)
+def test_dump_report_rejects_non_finite_floats(value):
+    for report in ({"x": value}, {"x": [1.0, value]}, {"x": [[0.5, value]]}, {"x": ["s", value]}):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            stateio.dump_report(report)
 
 
 def test_ket_as_pairs():

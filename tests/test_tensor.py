@@ -10,7 +10,7 @@ from helpers import (
     project_qubit,
     random_density,
 )
-from sepkit import tensor
+from sepkit import family_density, random_weights, tensor, werner_like
 
 
 def test_partial_transpose_diagonal_invariant():
@@ -103,6 +103,31 @@ def test_is_ppt_complement_agrees():
             assert tensor.is_ppt(rho, mask) == tensor.is_ppt(
                 rho, tensor.complement(mask, 3)
             )
+
+
+def _complex_path_verdict(rho, mask):
+    """is_ppt as the complex eigen-solver decides it."""
+    pt = tensor.partial_transpose(rho, mask).astype(complex)
+    return tensor.min_eigenvalue(pt) >= -tensor.DEFAULT_PT_TOL
+
+
+def test_is_ppt_real_path_matches_complex_path():
+    rng = np.random.default_rng(23)
+    for n in range(2, 7):
+        d = 1 << n
+        g = rng.standard_normal((d, d))
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        inputs = [
+            family_density(random_weights(n, rng)),
+            family_density(werner_like(n, 1 / (1 + 2 ** (n - 1)))),  # on the boundary
+            family_density(werner_like(n, 0.9)),
+            g @ g.T / np.trace(g @ g.T),  # real, but not a family state
+            random_density(n, rng),
+            (h + h.conj().T) / 2,  # complex Hermitian, indefinite
+        ]
+        for rho in inputs:
+            for mask in range(1, d - 1):
+                assert tensor.is_ppt(rho, mask) == _complex_path_verdict(rho, mask)
 
 
 def test_project_qubit_product_state():
