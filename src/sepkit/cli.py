@@ -55,6 +55,11 @@ def _pair_labels(pair) -> list[str]:
     return [qubit_label(q) for q in sorted(pair)]
 
 
+def _num(value, precision: int) -> str:
+    """A float, or list of floats, for a text line, rounded as in the JSON report."""
+    return repr(stateio.round_floats(value, precision))
+
+
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -103,10 +108,10 @@ def cmd_depolarize(args) -> tuple[dict, list[str], str | None]:
     report["weights"] = stateio.weights_dict(w)
     lines = [
         f"n_qubits: {w.n_qubits}",
-        f"lambda0_plus:  {w.lambda0_plus!r}",
-        f"lambda0_minus: {w.lambda0_minus!r}",
-        f"lambdas: {w.lambdas.tolist()!r}",
-        f"delta: {w.delta!r}",
+        f"lambda0_plus:  {_num(w.lambda0_plus, args.precision)}",
+        f"lambda0_minus: {_num(w.lambda0_minus, args.precision)}",
+        f"lambdas: {_num(w.lambdas.tolist(), args.precision)}",
+        f"delta: {_num(w.delta, args.precision)}",
         f"basis flipped: {_yesno(w.basis_flipped)}",
     ]
     return report, lines, None
@@ -129,7 +134,7 @@ def cmd_threshold(args) -> tuple[dict, list[str], str | None]:
             "and distillable exactly above this mixing weight"
         ),
     }
-    return report, [f"1/{denominator} = {value!r}"], None
+    return report, [f"1/{denominator} = {_num(value, args.precision)}"], None
 
 
 def cmd_distill(args) -> tuple[dict, list[str], str | None]:
@@ -165,8 +170,8 @@ def cmd_distill(args) -> tuple[dict, list[str], str | None]:
     lines = [
         f"pair: {','.join(report['pair'])} (projecting {report['projected_qubit']})",
         f"copies used: {outcome.m_used}",
-        f"filter success probability: {outcome.filter_success_probability!r}",
-        f"pair fidelity after projection: {outcome.pair_fidelity!r}",
+        f"filter success probability: {_num(outcome.filter_success_probability, args.precision)}",
+        f"pair fidelity after projection: {_num(outcome.pair_fidelity, args.precision)}",
         f"purifiable (exact fidelity > 1/2): {_yesno(outcome.purifiable)}",
     ]
     if args.oracle:
@@ -209,7 +214,7 @@ def cmd_witness(args) -> tuple[dict, list[str], str | None]:
     lines = [
         f"class: {rep.class3}",
         f"rho_tilde PT-invariance residual: {residual:.3e}",
-        f"rho_tilde min eigenvalue: {min_eig!r}",
+        f"rho_tilde min eigenvalue: {_num(min_eig, args.precision)}",
     ]
     if rep.class3 != 5:
         report["ensemble"] = None
@@ -257,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sepkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input=True):
+    def command(name, func, summary, with_input=True):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
         if with_input:
             sp.add_argument("--input", required=True, help="state file (JSON)")
         sp.add_argument(
@@ -269,17 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
         group = sp.add_mutually_exclusive_group()
         group.add_argument("--json", dest="fmt", action="store_const", const="json", default="json")
         group.add_argument("--text", dest="fmt", action="store_const", const="text")
+        return sp
 
-    sp = sub.add_parser("classify", help="separability/distillability classification")
-    common(sp)
-    sp.set_defaults(func=cmd_classify)
+    command("classify", cmd_classify, "separability/distillability classification")
+    command("depolarize", cmd_depolarize, "project a state onto the diagonal family")
 
-    sp = sub.add_parser("depolarize", help="project a state onto the diagonal family")
-    common(sp)
-    sp.set_defaults(func=cmd_depolarize)
-
-    sp = sub.add_parser("distill", help="plan pair distillation via the multi-copy filter")
-    common(sp)
+    sp = command("distill", cmd_distill, "plan pair distillation via the multi-copy filter")
     sp.add_argument("--pair", required=True, help="target pair, e.g. B,C or 1,2")
     sp.add_argument("--m", type=int, default=None, help="copy count (default: minimal)")
     sp.add_argument(
@@ -287,10 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the filtered state against the dense construction",
     )
-    sp.set_defaults(func=cmd_distill)
 
-    sp = sub.add_parser("witness", help="emit separability certificates")
-    common(sp)
+    sp = command("witness", cmd_witness, "emit separability certificates")
     sp.add_argument(
         "--tol",
         type=float,
@@ -302,12 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the separable ensemble to this path (requires class 5)",
     )
-    sp.set_defaults(func=cmd_witness)
 
-    sp = sub.add_parser("threshold", help="noise threshold of the example family")
-    common(sp, with_input=False)
+    sp = command("threshold", cmd_threshold, "noise threshold of the example family", with_input=False)
     sp.add_argument("--n", type=int, required=True, help="number of qubits (>= 3)")
-    sp.set_defaults(func=cmd_threshold)
 
     return parser
 

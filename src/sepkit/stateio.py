@@ -181,12 +181,10 @@ def load_state(path: str) -> StateInput:
     n = doc["n_qubits"]
     if not isinstance(n, int) or n < 2:
         raise StateFileError(f"n_qubits must be an integer >= 2, got {n!r}")
-    has_w = "weights" in doc
-    has_m = "matrix" in doc
-    if has_w == has_m:
+    if ("weights" in doc) == ("matrix" in doc):
         raise StateFileError("state file must carry exactly one of weights/matrix")
     notes: list[str] = []
-    if has_w:
+    if "weights" in doc:
         weights = _parse_weights(n, doc["weights"], notes)
         return StateInput(n_qubits=n, weights=weights, matrix=None, notes=tuple(notes))
     matrix = _parse_matrix(n, doc["matrix"], notes)

@@ -46,15 +46,6 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
-def basis_ket(n: int, j: int) -> np.ndarray:
-    """Computational-basis ket |j> on n qubits."""
-    if not 0 <= j < (1 << n):
-        raise ValueError(f"basis index {j} out of range for {n} qubits")
-    v = np.zeros(1 << n, dtype=complex)
-    v[j] = 1.0
-    return v
-
-
 def density_of(psi) -> np.ndarray:
     """Rank-one density operator |psi><psi| of a normalized ket."""
     v = np.asarray(psi, dtype=complex).reshape(-1)

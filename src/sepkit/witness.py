@@ -32,6 +32,8 @@ from .family import NEGATIVE_WEIGHT_CLAMP, GhzWeights, family_density, ghz_ket
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 KET_PLUS = np.array([_SQRT1_2, _SQRT1_2], dtype=complex)
 KET_MINUS = np.array([_SQRT1_2, -_SQRT1_2], dtype=complex)
+_COMPUTATIONAL = np.eye(2, dtype=complex)  # rows |0> and |1>, shared by every term
+_COMPUTATIONAL.flags.writeable = False
 
 # Sign patterns of the four product kets spanning the plus-sign GHZ sector
 # (0 = plus, 1 = minus); each pattern has an even number of minus factors.
@@ -118,7 +120,7 @@ def phi_product_factors(k: int) -> list[np.ndarray]:
 
 
 def _computational_factors(index: int) -> list[np.ndarray]:
-    return [tensor.basis_ket(1, (index >> (2 - q)) & 1) for q in range(3)]
+    return [_COMPUTATIONAL[(index >> (2 - q)) & 1] for q in range(3)]
 
 
 def fully_separable_ensemble(w: GhzWeights) -> SeparableEnsemble:
@@ -150,16 +152,27 @@ def fully_separable_ensemble(w: GhzWeights) -> SeparableEnsemble:
     return SeparableEnsemble(n_qubits=3, terms=tuple(terms))
 
 
+def _stacked_factors(e: SeparableEnsemble) -> np.ndarray:
+    """The terms' factors as one (terms, qubits, 2) complex array."""
+    return np.array([f for _, fs in e.terms for f in fs], dtype=complex).reshape(-1, e.n_qubits, 2)
+
+
+def _mixture(e: SeparableEnsemble, factors: np.ndarray) -> np.ndarray:
+    """The weighted projectors of the stacked ``factors``' product kets, summed.
+
+    All kets are formed at once, left to right as np.kron forms them, and
+    the projectors are added to a zero matrix in term order, as a loop does.
+    """
+    psi = factors[:, 0]
+    for q in range(1, e.n_qubits):
+        psi = (psi[:, :, None] * factors[:, q, None, :]).reshape(-1, 2 << q)
+    weights = np.array([weight for weight, _ in e.terms], dtype=float).reshape(-1, 1, 1)
+    return np.add.reduce(weights * (psi[:, :, None] * psi.conj()[:, None, :]), initial=0.0)
+
+
 def ensemble_density(e: SeparableEnsemble) -> np.ndarray:
     """Mixture of the ensemble's product states as a dense matrix."""
-    dim = 1 << e.n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    for weight, factors in e.terms:
-        psi = factors[0]
-        for f in factors[1:]:
-            psi = np.kron(psi, f)
-        rho += weight * np.outer(psi, psi.conj())
-    return rho
+    return _mixture(e, _stacked_factors(e))
 
 
 def verify_ensemble(e: SeparableEnsemble, target: np.ndarray) -> float:
@@ -176,10 +189,10 @@ def verify_ensemble(e: SeparableEnsemble, target: np.ndarray) -> float:
             raise ValueError(f"negative ensemble weight {weight}")
         if len(factors) != e.n_qubits:
             raise ValueError("term is not a full product over the qubits")
-        for f in factors:
-            f = np.asarray(f)
-            if f.shape != (2,):
-                raise ValueError("ensemble factors must be single-qubit kets")
-            if abs(np.vdot(f, f).real - 1.0) > tensor.NORM_ATOL:
-                raise ValueError("ensemble factor is not normalized")
-    return float(np.abs(ensemble_density(e) - target).max())
+        if any(np.shape(f) != (2,) for f in factors):
+            raise ValueError("ensemble factors must be single-qubit kets")
+    factors = _stacked_factors(e)
+    norms = (factors.real**2 + factors.imag**2).sum(axis=-1)
+    if (np.abs(norms - 1.0) > tensor.NORM_ATOL).any():
+        raise ValueError("ensemble factor is not normalized")
+    return float(np.abs(_mixture(e, factors) - target).max())

@@ -21,6 +21,15 @@ KET_PLUS = np.array([SQRT1_2, SQRT1_2], dtype=complex)
 BELL_PHI_PLUS = np.array([SQRT1_2, 0.0, 0.0, SQRT1_2], dtype=complex)
 
 
+def basis_ket(n: int, j: int) -> np.ndarray:
+    """Computational-basis ket |j> on n qubits."""
+    if not 0 <= j < (1 << n):
+        raise ValueError(f"basis index {j} out of range for {n} qubits")
+    v = np.zeros(1 << n, dtype=complex)
+    v[j] = 1.0
+    return v
+
+
 def random_density(n, rng):
     """Full-rank Wishart density matrix on n qubits."""
     d = 1 << n
@@ -164,6 +173,61 @@ def reference_dense_filter_oracle(w, m):
         raise tensor.DegenerateOutcomeError("filter success probability is zero")
     trio = partial_trace(filtered, keep=(0, m, 2 * m))
     return trio / prob, float(prob)
+
+
+def reference_sparse_filter_oracle(w, m):
+    """Filtered trio state from the nonzeros of the m-fold power, tap by tap.
+
+    The same construction as ``dense_filter_oracle``, with each party's
+    filter applied by one boolean mask per (axis, filter entry) and the
+    results scattered with ``np.add.at``.
+    """
+    rho = family_density(w)
+    rows, cols = np.nonzero(rho)
+    values = rho[rows, cols]
+    shifts = np.arange(2, -1, -1)[:, None]
+    bits = np.concatenate([(rows >> shifts) & 1, (cols >> shifts) & 1])
+    idx, val = bits, values
+    for _ in range(m - 1):
+        idx = (2 * idx[:, :, None] + bits[:, None, :]).reshape(6, -1)
+        val = (val[:, None] * values[None, :]).reshape(-1)
+    p = filter_operator(m)
+    outs, ins = np.nonzero(p)
+    taps = p[outs, ins]
+    for axis in range(6):
+        moved_idx, moved_val = [], []
+        for out, src, tap in zip(outs, ins, taps if axis < 3 else taps.conj()):
+            hit = idx[axis] == src
+            moved = idx[:, hit]
+            moved[axis] = out
+            moved_idx.append(moved)
+            moved_val.append(tap * val[hit])
+        idx, val = np.concatenate(moved_idx, axis=1), np.concatenate(moved_val)
+    on_diagonal = (idx[:3] == idx[3:]).all(axis=0)
+    diagonal = np.zeros(8**m, dtype=complex)
+    np.add.at(diagonal, (idx[0] << 2 * m | idx[1] << m | idx[2])[on_diagonal], val[on_diagonal])
+    prob = diagonal.sum().real
+    if prob < tensor.DEGENERATE_PROBABILITY:
+        raise tensor.DegenerateOutcomeError("filter success probability is zero")
+    rest = (1 << (m - 1)) - 1
+    traced = ((idx[:3] & rest) == (idx[3:] & rest)).all(axis=0)
+    kept = idx[:, traced] >> (m - 1)
+    trio = np.zeros((8, 8), dtype=complex)
+    trio_row = kept[0] << 2 | kept[1] << 1 | kept[2]
+    np.add.at(trio, (trio_row, kept[3] << 2 | kept[4] << 1 | kept[5]), val[traced])
+    return trio / prob, float(prob)
+
+
+def reference_ensemble_density(e):
+    """Mixture of the ensemble's product states, term by term via np.kron."""
+    dim = 1 << e.n_qubits
+    rho = np.zeros((dim, dim), dtype=complex)
+    for weight, factors in e.terms:
+        psi = factors[0]
+        for f in factors[1:]:
+            psi = np.kron(psi, f)
+        rho += weight * np.outer(psi, psi.conj())
+    return rho
 
 
 def project_qubit(rho, k, phi):

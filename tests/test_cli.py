@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import basis_ket
 from sepkit import ghz_ket, werner_like
 from sepkit import tensor
 from sepkit.cli import main
@@ -219,7 +220,7 @@ def test_tol_only_on_witness(capsys, tmp_path):
 
 
 def test_depolarize_matrix(capsys, tmp_path):
-    path = write_matrix(tmp_path / "m.json", tensor.density_of(tensor.basis_ket(3, 0)), 3)
+    path = write_matrix(tmp_path / "m.json", tensor.density_of(basis_ket(3, 0)), 3)
     code, doc, _ = run_json(capsys, "depolarize", "--input", path)
     assert code == 0
     assert doc["weights"]["lambda0_plus"] == pytest.approx(0.5, abs=1e-14)
@@ -373,6 +374,30 @@ def test_precision_flag_rounds_output(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "depolarize", "--input", path, "--precision", "4")
     assert code == 0
     assert doc["weights"]["lambda0_plus"] == 0.3875
+
+
+@pytest.mark.parametrize("precision", ["2", "5", "17"])
+def test_text_floats_are_rounded_as_in_json(capsys, tmp_path, precision):
+    x027 = write_weights(tmp_path / "w.json", werner_like(3, 0.27))
+    x030 = str(STATES / "werner3_x030.json")
+    cases = [
+        (["witness", "--input", x030], lambda d: [d["rho_tilde"]["min_eigenvalue"]]),
+        (
+            ["depolarize", "--input", x027],
+            lambda d: [d["weights"][k] for k in ("lambda0_plus", "lambda0_minus", "lambdas")],
+        ),
+        (
+            ["distill", "--input", x030, "--pair", "B,C"],
+            lambda d: [d["filter_success_probability"], d["pair_fidelity"]],
+        ),
+        (["threshold", "--n", "4"], lambda d: [d["threshold_decimal"]]),
+    ]
+    for argv, floats in cases:
+        _, doc, _ = run_json(capsys, *argv, "--precision", precision)
+        code, text, _ = run(capsys, *argv, "--precision", precision, "--text")
+        assert code == 0
+        for value in floats(doc):
+            assert f" {value!r}\n" in text, (argv, value)
 
 
 def test_unusable_precision_is_an_input_error(capsys):

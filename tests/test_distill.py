@@ -15,6 +15,7 @@ from helpers import (
     project_qubit,
     reference_dense_filter_oracle,
     reference_minimal_m,
+    reference_sparse_filter_oracle,
     weights_max_diff,
 )
 from sepkit import (
@@ -184,6 +185,17 @@ def test_dense_oracle_bit_identical_to_full_matrix(w, m):
     full_sigma, full_prob = reference_dense_filter_oracle(w, m)
     assert np.array_equal(sigma, full_sigma)
     assert prob == full_prob
+
+
+def test_dense_oracle_bit_identical_to_sparse_reference_at_m4_m5():
+    rng = np.random.default_rng(223)
+    draws = [werner_like(3, 0.3), CLASS2_WEIGHTS] + [random_weights(3, rng) for _ in range(3)]
+    for m in (4, 5):
+        for w in draws:
+            sigma, prob = dense_filter_oracle(w, m)
+            ref_sigma, ref_prob = reference_sparse_filter_oracle(w, m)
+            assert np.array_equal(sigma, ref_sigma)
+            assert prob == ref_prob
 
 
 def test_dense_oracle_memory_at_cap():

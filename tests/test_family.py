@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import permute_qubits, random_density, weights_max_diff
+from helpers import basis_ket, permute_qubits, random_density, weights_max_diff
 from sepkit import (
     GhzWeights,
     depolarize,
@@ -97,7 +97,7 @@ def test_depolarize_pure_ghz_projector():
 
 
 def test_depolarize_all_zeros_state():
-    w = depolarize(tensor.density_of(tensor.basis_ket(3, 0)))
+    w = depolarize(tensor.density_of(basis_ket(3, 0)))
     assert w.lambda0_plus == pytest.approx(0.5, abs=1e-14)
     assert w.lambda0_minus == pytest.approx(0.5, abs=1e-14)
     assert max(w.lambdas) <= 1e-14

@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     BELL_PHI_PLUS,
     KET_PLUS,
+    basis_ket,
     brute_permutation_unitary,
     partial_trace,
     permute_qubits,
@@ -131,9 +132,9 @@ def test_is_ppt_real_path_matches_complex_path():
 
 
 def test_project_qubit_product_state():
-    rho = tensor.density_of(tensor.basis_ket(2, 0))
-    reduced, prob = project_qubit(rho, 0, tensor.basis_ket(1, 0))
-    np.testing.assert_allclose(reduced, tensor.density_of(tensor.basis_ket(1, 0)))
+    rho = tensor.density_of(basis_ket(2, 0))
+    reduced, prob = project_qubit(rho, 0, basis_ket(1, 0))
+    np.testing.assert_allclose(reduced, tensor.density_of(basis_ket(1, 0)))
     assert prob == pytest.approx(1.0)
 
 
@@ -150,8 +151,8 @@ def test_project_qubit_ghz_on_plus_gives_bell():
 def test_project_qubit_ghz_on_zero_selects_branch():
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = np.sqrt(0.5)
-    reduced, prob = project_qubit(tensor.density_of(ghz), 0, tensor.basis_ket(1, 0))
-    np.testing.assert_allclose(reduced, tensor.density_of(tensor.basis_ket(2, 0)), atol=1e-14)
+    reduced, prob = project_qubit(tensor.density_of(ghz), 0, basis_ket(1, 0))
+    np.testing.assert_allclose(reduced, tensor.density_of(basis_ket(2, 0)), atol=1e-14)
     assert abs(prob - 0.5) <= 1e-14
 
 
@@ -159,15 +160,15 @@ def test_project_qubit_probabilities_sum_to_one():
     rng = np.random.default_rng(23)
     rho = random_density(3, rng)
     for k in range(3):
-        _, p0 = project_qubit(rho, k, tensor.basis_ket(1, 0))
-        _, p1 = project_qubit(rho, k, tensor.basis_ket(1, 1))
+        _, p0 = project_qubit(rho, k, basis_ket(1, 0))
+        _, p1 = project_qubit(rho, k, basis_ket(1, 1))
         assert abs(p0 + p1 - 1.0) <= 1e-12
 
 
 def test_project_qubit_degenerate_outcome():
-    rho = tensor.density_of(tensor.basis_ket(2, 3))
+    rho = tensor.density_of(basis_ket(2, 3))
     with pytest.raises(tensor.DegenerateOutcomeError):
-        project_qubit(rho, 0, tensor.basis_ket(1, 0))
+        project_qubit(rho, 0, basis_ket(1, 0))
 
 
 def test_project_qubit_requires_normalized_ket():

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import random_class5_weights, weights_max_diff
+from helpers import (
+    basis_ket,
+    random_class5_weights,
+    reference_ensemble_density,
+    weights_max_diff,
+)
 from sepkit import (
     EnsembleNotApplicableError,
     GhzWeights,
@@ -121,12 +126,12 @@ def test_ensemble_werner_example_terms():
     # first two terms are |000> and |111>
     np.testing.assert_allclose(
         ensemble_density(SeparableEnsemble(3, ens.terms[:1])) * 10,
-        tensor.density_of(tensor.basis_ket(3, 0)),
+        tensor.density_of(basis_ket(3, 0)),
         atol=1e-14,
     )
     np.testing.assert_allclose(
         ensemble_density(SeparableEnsemble(3, ens.terms[1:2])) * 10,
-        tensor.density_of(tensor.basis_ket(3, 7)),
+        tensor.density_of(basis_ket(3, 7)),
         atol=1e-14,
     )
 
@@ -153,17 +158,42 @@ def test_ensemble_refused_outside_class5():
 
 
 def test_verify_ensemble_trivial_and_sensitivity():
-    term = (1.0, tuple(tensor.basis_ket(1, 0) for _ in range(3)))
+    term = (1.0, tuple(basis_ket(1, 0) for _ in range(3)))
     ens = SeparableEnsemble(3, (term,))
-    target = tensor.density_of(tensor.basis_ket(3, 0))
+    target = tensor.density_of(basis_ket(3, 0))
     assert verify_ensemble(ens, target) == 0.0
 
     bumped = SeparableEnsemble(3, ((1.0 + 1e-3, term[1]),))
     assert verify_ensemble(bumped, target) >= 1e-4
 
 
+def test_ensemble_density_bit_identical_to_kron_reference():
+    draws = random_class5_weights(np.random.default_rng(211), 200) + [
+        werner_like(3, 0.2),
+        GhzWeights(3, 0.5, 0.5, (0.0, 0.0, 0.0)),
+        GhzWeights(3, 0.25, 0.0, (0.125, 0.125, 0.125)),
+    ]
+    for w in draws:
+        ens = fully_separable_ensemble(w)
+        # the same terms with every third weight zeroed
+        zeroed = SeparableEnsemble(
+            3, tuple((0.0 if t % 3 == 0 else wt, f) for t, (wt, f) in enumerate(ens.terms))
+        )
+        for e in (ens, zeroed):
+            assert np.array_equal(ensemble_density(e), reference_ensemble_density(e))
+        hat = rho_hat_density(build_rho_hat(w))
+        assert verify_ensemble(ens, hat) == np.abs(reference_ensemble_density(ens) - hat).max()
+
+
+def test_empty_ensemble_is_the_zero_matrix():
+    empty = SeparableEnsemble(3, ())
+    assert np.array_equal(ensemble_density(empty), np.zeros((8, 8)))
+    target = family_density(werner_like(3, 0.3))
+    assert verify_ensemble(empty, target) == np.abs(target).max()
+
+
 def test_verify_ensemble_rejects_malformed():
-    good = tuple(tensor.basis_ket(1, 0) for _ in range(3))
+    good = tuple(basis_ket(1, 0) for _ in range(3))
     target = np.eye(8, dtype=complex) / 8
     with pytest.raises(ValueError):
         verify_ensemble(SeparableEnsemble(3, ((-0.5, good),)), target)
@@ -175,7 +205,7 @@ def test_verify_ensemble_rejects_malformed():
         )
     with pytest.raises(ValueError):
         verify_ensemble(
-            SeparableEnsemble(3, ((1.0, (tensor.basis_ket(2, 0),) + good[:2]),)), target
+            SeparableEnsemble(3, ((1.0, (basis_ket(2, 0),) + good[:2]),)), target
         )
 
 
