@@ -9,7 +9,6 @@ counterpart used as ground truth in the test suite.
 """
 
 from .classify import (
-    ClassReport,
     bipartition_masks,
     classify3,
     classify_family,
@@ -41,7 +40,6 @@ from .family import (
 )
 from .witness import (
     EnsembleNotApplicableError,
-    RhoHatWeights,
     SeparableEnsemble,
     build_rho_hat,
     build_rho_tilde,
@@ -55,11 +53,9 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassReport",
     "DistillOutcome",
     "EnsembleNotApplicableError",
     "GhzWeights",
-    "RhoHatWeights",
     "SeparableEnsemble",
     "amplify",
     "bipartition_masks",

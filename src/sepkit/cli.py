@@ -139,17 +139,15 @@ def cmd_threshold(args) -> tuple[dict, list[str], str | None]:
 
 def cmd_distill(args) -> tuple[dict, list[str], str | None]:
     w, report = _load(args, "distill", tensor.DEFAULT_PT_TOL)
-    if w.n_qubits != 3:
-        raise StateFileError("distillation planning requires a 3-qubit state")
     tokens = args.pair.split(",")
     if len(tokens) != 2:
         raise StateFileError("--pair expects two qubits, e.g. B,C")
-    i, k = (stateio.parse_qubit(t, 3) for t in tokens)
+    i, k = (stateio.parse_qubit(t, w.n_qubits) for t in tokens)
     if i == k:
         raise StateFileError("--pair expects two distinct qubits")
+    outcome = distill_mod.plan_pair_distillation(w, i, k, m=args.m)
     report["pair"] = _pair_labels((i, k))
     report["projected_qubit"] = qubit_label(3 - i - k)
-    outcome = distill_mod.plan_pair_distillation(w, i, k, m=args.m)
     if outcome is None:
         report["distillable"] = False
         report["reason"] = (
@@ -209,7 +207,7 @@ def cmd_witness(args) -> tuple[dict, list[str], str | None]:
         "pt_invariance_residual": residual,
         "min_eigenvalue": min_eig,
         "positive_semidefinite": min_eig >= -args.tol,
-        "delta_le_2lambda2": w.delta <= 2.0 * w.lam(2),
+        "delta_le_2lambda2": rep.pt_positive[tensor.qubits_to_mask((0,), 3)],
     }
     lines = [
         f"class: {rep.class3}",
@@ -319,6 +317,8 @@ def _check_options(args) -> None:
     m = getattr(args, "m", None)
     if m is not None and m < 1:
         raise ValueError(f"--m must be at least 1, got {m}")
+    if m is not None and m > sys.float_info.max:
+        raise ValueError(f"--m must be at most {sys.float_info.max!r}, the largest double")
 
 
 def main(argv=None) -> int:

@@ -209,12 +209,13 @@ def minimal_m_raw(half_delta: float, lam1: float, lam3: float) -> int | None:
 def minimal_m(w: GhzWeights) -> int | None:
     """Smallest copy count whose filtered state projects to fidelity > 1/2.
 
-    That is the criterion (delta/2)**m > lambda_1**m + lambda_3**m; None
-    means delta/2 <= max(lambda_1, lambda_3), i.e. qubits 1 and 2 are not
-    pair-distillable and no copy count helps.
+    That is the criterion (delta/2)**m > lambda_1**m + lambda_3**m, taken
+    on (delta, 2 lambda_1, 2 lambda_3), as delta/2 underflows at 5e-324.
+    None means delta <= 2 max(lambda_1, lambda_3), classify's rule that
+    qubits 1 and 2 are not pair-distillable: no copy count helps.
     """
     _require_three_qubits(w)
-    return minimal_m_raw(w.delta / 2.0, w.lam(1), w.lam(3))
+    return minimal_m_raw(w.delta, 2.0 * w.lam(1), 2.0 * w.lam(3))
 
 
 def plan_pair_distillation(
@@ -235,8 +236,6 @@ def plan_pair_distillation(
         return None
     relabeled = permute_weights(w, (3 - i - k, i, k))
     m_used = minimal_m(relabeled) if m is None else m
-    if m_used is None or m_used < 1:
-        raise ValueError(f"invalid copy count {m_used}")
     filtered, filter_prob = amplify(relabeled, m_used)
     fid, proj_prob = pair_fidelity_after_projection(filtered)
     return DistillOutcome(
@@ -246,6 +245,6 @@ def plan_pair_distillation(
         projection_success_probability=proj_prob,
         pair_fidelity=fid,
         purifiable=_criterion_holds(
-            m_used, relabeled.delta / 2.0, (relabeled.lam(1), relabeled.lam(3))
+            m_used, relabeled.delta, (2.0 * relabeled.lam(1), 2.0 * relabeled.lam(3))
         ),
     )

@@ -156,8 +156,6 @@ def depolarize(rho: np.ndarray) -> GhzWeights:
     """
     rho = np.asarray(rho, dtype=complex)
     n = tensor.check_density(rho)
-    if n < 2:
-        raise ValueError("the family needs at least 2 qubits")
     dim = 1 << n
     diag = rho.diagonal().real
     block = (diag[0] + diag[dim - 1]) / 2.0

@@ -41,7 +41,6 @@ class StateFileError(ValueError):
 
 @dataclass
 class StateInput:
-    n_qubits: int
     weights: GhzWeights | None
     matrix: np.ndarray | None
     notes: tuple[str, ...]
@@ -186,9 +185,9 @@ def load_state(path: str) -> StateInput:
     notes: list[str] = []
     if "weights" in doc:
         weights = _parse_weights(n, doc["weights"], notes)
-        return StateInput(n_qubits=n, weights=weights, matrix=None, notes=tuple(notes))
+        return StateInput(weights=weights, matrix=None, notes=tuple(notes))
     matrix = _parse_matrix(n, doc["matrix"], notes)
-    return StateInput(n_qubits=n, weights=None, matrix=matrix, notes=tuple(notes))
+    return StateInput(weights=None, matrix=matrix, notes=tuple(notes))
 
 
 def weights_dict(w: GhzWeights) -> dict:
@@ -217,6 +216,8 @@ def ensemble_dict(e) -> dict:
 
 def round_floats(obj, sig: int):
     """Round every float in a JSON-ready structure to ``sig`` significant digits."""
+    if sig >= 17:  # 17 digits keep every double exact: nothing to round
+        return obj
     if isinstance(obj, float):
         return float(f"{obj:.{sig}g}")
     if isinstance(obj, dict):
@@ -279,9 +280,7 @@ def dump_report(report: dict, precision: int = 17) -> str:
     through the C encoder in one call each. Keys must be strings; NaN and
     infinities raise ValueError.
     """
-    if precision < 17:
-        report = round_floats(report, precision)
     out: list[str] = []
-    _emit(report, "", out)
+    _emit(round_floats(report, precision), "", out)
     out.append("\n")
     return "".join(out)

@@ -67,8 +67,6 @@ def check_density(rho: np.ndarray) -> int:
     check_hermitian(rho, atol=DENSITY_ATOL)
     n = n_qubits_of(rho.shape[0])
     tr = rho.trace().real
-    if tr < -DENSITY_ATOL:
-        raise ValueError(f"negative trace {tr}")
     if abs(tr - 1.0) > DENSITY_ATOL:
         raise ValueError(f"trace {tr} differs from 1 by more than {DENSITY_ATOL:.1e}")
     return n

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .family import NEGATIVE_WEIGHT_CLAMP, GhzWeights, family_density, ghz_ket
+from .family import GhzWeights, family_density, ghz_ket
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 KET_PLUS = np.array([_SQRT1_2, _SQRT1_2], dtype=complex)
@@ -41,13 +41,13 @@ PHI_SIGN_PATTERNS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 class EnsembleNotApplicableError(ValueError):
-    """The split weights go negative, so no separable ensemble exists here."""
+    """No separable ensemble: ``value`` = 2 lambda_k - delta < 0 for k = ``lambda_index``."""
 
     def __init__(self, lambda_index: int, value: float):
         self.lambda_index = lambda_index
         self.value = value
         super().__init__(
-            f"lambda_{lambda_index} - delta/2 = {value} < 0; "
+            f"2 lambda_{lambda_index} - delta = {value} < 0; "
             "a single-qubit partial transpose is negative"
         )
 
@@ -87,18 +87,17 @@ def build_rho_tilde(w: GhzWeights) -> np.ndarray:
 def build_rho_hat(w: GhzWeights) -> RhoHatWeights:
     """Split each pair weight into lambda_k +- delta/2.
 
-    Valid only when every single-qubit partial transpose is positive;
-    otherwise some minus-branch weight is negative and
-    EnsembleNotApplicableError reports the first offending index. Values in
-    [-1e-12, 0) are clamped to zero.
+    Valid only when delta <= 2 lambda_k for every k, classify's rule for a
+    positive single-qubit transpose; then lambda_k - delta/2 >= 0 exactly.
+    Otherwise EnsembleNotApplicableError reports the first offending index.
     """
     _require_three_qubits(w)
+    beyond = np.flatnonzero(w.delta > 2.0 * w.lambdas)
+    if beyond.size:
+        k = int(beyond[0]) + 1
+        raise EnsembleNotApplicableError(k, 2.0 * w.lam(k) - w.delta)
     half = w.delta / 2.0
     minus = w.lambdas - half
-    beyond = np.flatnonzero(minus < -NEGATIVE_WEIGHT_CLAMP)
-    if beyond.size:
-        raise EnsembleNotApplicableError(int(beyond[0]) + 1, float(minus[beyond[0]]))
-    minus[minus < 0.0] = 0.0
     plus = w.lambdas + half
     return RhoHatWeights(base=w, hat_plus=tuple(plus.tolist()), hat_minus=tuple(minus.tolist()))
 
@@ -140,8 +139,6 @@ def fully_separable_ensemble(w: GhzWeights) -> SeparableEnsemble:
             coeff = (w.lambda0_plus + w.lambda0_minus - delta) / 2.0
         else:
             coeff = (hw.hat_plus[k - 1] + hw.hat_minus[k - 1] - delta) / 2.0
-        if coeff < -NEGATIVE_WEIGHT_CLAMP:
-            raise EnsembleNotApplicableError(k, coeff)
         if coeff <= 0.0:
             continue
         terms.append((coeff, tuple(_computational_factors(2 * k))))

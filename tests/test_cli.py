@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -376,7 +377,7 @@ def test_precision_flag_rounds_output(capsys, tmp_path):
     assert doc["weights"]["lambda0_plus"] == 0.3875
 
 
-@pytest.mark.parametrize("precision", ["2", "5", "17"])
+@pytest.mark.parametrize("precision", ["2", "5", "17", "2147483648", "99999999999999999999"])
 def test_text_floats_are_rounded_as_in_json(capsys, tmp_path, precision):
     x027 = write_weights(tmp_path / "w.json", werner_like(3, 0.27))
     x030 = str(STATES / "werner3_x030.json")
@@ -420,9 +421,10 @@ def test_unusable_precision_is_an_input_error(capsys):
         (["depolarize", "--precision", "0"], "--precision"),
         (["distill", "--pair", "B,C", "--m", "0"], "--m"),
         (["distill", "--pair", "A,B", "--m", "-2"], "--m"),  # a pair that is not distillable
+        (["distill", "--pair", "B,C", "--m", "1" + "0" * 400], "--m"),  # float(m) overflows
     ],
     ids=["tol-nan", "tol-negative", "tol-inf", "precision-negative", "precision-zero",
-         "m-zero", "m-negative"],
+         "m-zero", "m-negative", "m-overflow"],
 )
 def test_unusable_option_value_is_named(capsys, argv, option, fmt):
     path = str(STATES / "werner3_x030.json")
@@ -430,6 +432,28 @@ def test_unusable_option_value_is_named(capsys, argv, option, fmt):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"sepkit: {option} ")
+
+
+def test_copy_count_is_usable_up_to_the_largest_double(capsys):
+    path = str(STATES / "werner3_x030.json")
+    largest = int(sys.float_info.max)
+    for m in ("100000000000000000000", str(largest)):
+        code, doc, _ = run_json(capsys, "distill", "--input", path, "--pair", "B,C", "--m", m)
+        assert code == 0
+        assert doc["m_used"] == int(m) and doc["purifiable"] is True
+    code, out, err = run(capsys, "distill", "--input", path, "--pair", "B,C", "--m", str(largest + 1))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("sepkit: --m ")
+
+
+def test_distill_outside_three_qubits_is_one_input_error(capsys, tmp_path):
+    path = write_weights(tmp_path / "w4.json", werner_like(4, 0.5))
+    code, out, err = run(capsys, "distill", "--input", path, "--pair", "B,C")
+    assert (code, out) == (2, "")
+    assert err == "sepkit: the distillation protocol is defined for 3 qubits\n"
+    code, out, err = run(capsys, "distill", "--input", path, "--pair", "B,E")
+    assert (code, out) == (2, "")
+    assert err == "sepkit: qubit 'E' out of range for 4 qubits\n"
 
 
 def test_reports_round_trip_via_json(capsys, tmp_path):
