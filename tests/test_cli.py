@@ -313,6 +313,15 @@ def test_distill_rejects_bad_pair(capsys, tmp_path):
         assert code == 2
 
 
+@pytest.mark.parametrize("pair", ["B,\u0662", "B,\u00b3", "B,\u0131", "B,", "B,1x"])
+def test_distill_rejects_qubit_tokens_outside_ascii_letters_and_digits(capsys, pair):
+    # str.isdigit accepts the Arabic-Indic two and the superscript three
+    path = str(STATES / "werner3_x030.json")
+    code, out, err = run(capsys, "distill", "--input", path, "--pair", pair)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("sepkit: --pair ")
+
+
 def test_witness_class5_has_ensemble(capsys, tmp_path):
     path = write_weights(tmp_path / "w.json", werner_like(3, 0.2))
     code, doc, _ = run_json(capsys, "witness", "--input", path)

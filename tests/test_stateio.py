@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sepkit import family_density, ghz_ket, pt_positive_analytic, random_weights, werner_like
-from sepkit import stateio, witness
+from sepkit import _floatfmt, stateio, witness
 from sepkit.cli import build_parser
 
 
@@ -142,6 +142,17 @@ def test_qubit_labels_roundtrip():
         stateio.parse_qubit("?!", 3)
 
 
+def test_integer_weights_read_as_float_of_each():
+    ints = [0, 1, 3, 2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64 + 3, 2**80 + 2**27 + 1, -(2**63) - 1, 10**300]
+    notes = []
+    lams = stateio._lambdas(ints + [0.5], notes)
+    assert [v.hex() for v in lams.tolist()] == [float(v).hex() for v in ints + [0.5]]
+    assert notes == []
+    # past the largest double, the per-entry path names the entry
+    with pytest.raises(stateio.StateFileError, match=r"lambdas\[1\] must be a finite number"):
+        stateio._lambdas([1, 10**400], notes)
+
+
 def test_dump_report_roundtrip_and_precision():
     report = {"a": 0.1 + 0.2, "nested": {"xs": [1 / 3, 2]}, "flag": True}
     out = stateio.dump_report(report)
@@ -168,8 +179,9 @@ def cli_report(tmp_path, w, command, *options):
 
 def test_dump_report_matches_json_dumps_on_classify_reports(tmp_path):
     rng = np.random.default_rng(41)
-    for n in range(2, 17):
-        for w in (random_weights(n, rng), werner_like(n, 0.95), werner_like(n, 1 / (1 + 2 ** (n - 1)))):
+    for n in range(2, 21):  # up to 524,287 pair weights, across stateio._KERNEL_MIN
+        werner = (werner_like(n, 0.95), werner_like(n, 1 / (1 + 2 ** (n - 1)))) if n <= 16 else ()
+        for w in (random_weights(n, rng), *werner):
             report = cli_report(tmp_path, w, "classify")
             assert stateio.dump_report(report) == dumps_indent2(report)
             assert stateio.dump_report(report, 5) == dumps_indent2(report, 5)
@@ -232,7 +244,11 @@ def test_dump_report_matches_json_dumps_on_trees(tree):
 
 @pytest.mark.parametrize("value", [math.nan, -math.inf, np.float64(math.inf)], ids=repr)
 def test_dump_report_rejects_non_finite_floats(value):
-    for report in ({"x": value}, {"x": [1.0, value]}, {"x": [[0.5, value]]}, {"x": ["s", value]}):
+    # the last two lists are long enough for the float kernel, the last spans two of its chunks
+    long = [0.5] * max(stateio._KERNEL_MIN, _floatfmt.CHUNK + 2)
+    reports = ({"x": value}, {"x": [1.0, value]}, {"x": [[0.5, value]]}, {"x": ["s", value]},
+               {"x": [value] + long[1:stateio._KERNEL_MIN]}, {"x": long[:-1] + [value]})
+    for report in reports:
         with pytest.raises(ValueError, match="not JSON compliant"):
             stateio.dump_report(report)
 
