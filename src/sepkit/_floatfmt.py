@@ -1,9 +1,9 @@
 """``float.__repr__`` for whole float64 arrays, in numpy integer arithmetic.
 
-``repr_pieces(values, sep)`` concatenates to ``sep.join(map(float.__repr__,
-values))`` byte for byte for finite doubles. It costs a few hundred
-nanoseconds per value, a third to a half of CPython's bignum ``repr``, plus
-a fixed cost per call, so ``stateio`` calls it for long lists alone.
+``repr_join(values, sep)`` is ``sep.join(map(float.__repr__, values))``
+byte for byte for finite doubles. It costs a few hundred nanoseconds per
+value, a third to a half of CPython's bignum ``repr``, plus a fixed cost
+per call, so ``stateio`` calls it for long lists alone.
 
 Digits: the Schubfach algorithm (R. Giulietti, "The Schubfach way to render
 doubles", 2020; ``DoubleToDecimal`` in the JDK since 19) gives the shortest
@@ -31,6 +31,7 @@ _HIDDEN = 1 << 52  # the implicit leading bit of a normal significand
 _Q_MIN = -1074  # binary exponent of the smallest subnormal
 _E_MIN, _E_MAX = -324, 308  # decimal exponents of doubles' shortest forms
 _NO_POINT = 24  # a point position past the three digit words
+_LONGEST = 24  # bytes in the longest repr, -2.2250738585072014e-308
 
 
 def _word(text: str, right: bool = False) -> int:
@@ -209,18 +210,25 @@ def _rows(x, sep_words):
     return out
 
 
-def repr_pieces(values, sep: str) -> list[str] | None:
-    """Consecutive pieces of ``sep.join(map(float.__repr__, values))`` for a
-    list of floats and an ASCII ``sep``, or None if a value is not finite."""
+def repr_join(values, sep: str) -> str | None:
+    """``sep.join(map(float.__repr__, values))`` for a list of floats and an
+    ASCII ``sep``, or None if a value is not finite.
+
+    The text of every chunk goes into one buffer, sized for the longest
+    repr, and becomes one string. A string per chunk left a trail of holes
+    in the heap once joined and freed, and with it a process's peak memory
+    swung by the size of the text from one run to the next.
+    """
     raw = sep.encode("ascii")
     sep_words = np.frombuffer(raw + b"\0" * (-len(raw) % 8), dtype=np.uint64)
-    pieces = []
+    buf = np.empty(len(values) * (_LONGEST + len(raw)), dtype=np.uint8)  # untouched past the text
+    end = 0
     for start in range(0, len(values), CHUNK):
         x = np.array(values[start:start + CHUNK], dtype=np.float64)
         if not np.isfinite(x).all():
             return None
         text = _rows(x, sep_words).view(np.uint8)
-        pieces.append(text[text != 0].tobytes().decode("ascii"))
-    if pieces and sep:
-        pieces[-1] = pieces[-1][: -len(sep)]
-    return pieces
+        text = text[text != 0]
+        buf[end:end + len(text)] = text
+        end += len(text)
+    return str(buf[:max(end - len(raw), 0)], "ascii")

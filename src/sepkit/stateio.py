@@ -284,15 +284,15 @@ def _emit(obj, pad: str, out: list[str]) -> None:
             out.append("[]")
         elif all(issubclass(t, _SCALARS) for t in types):
             sep = ",\n" + inner
-            items = None
+            text = None
             if len(obj) >= _KERNEL_MIN and types == {float}:
                 from . import _floatfmt  # imported by the first long list only
 
-                items = _floatfmt.repr_pieces(obj, sep)  # None if a value is not finite
-            if items is None:
+                text = _floatfmt.repr_join(obj, sep)  # None if a value is not finite
+            if text is None:
                 # one C call; a scalar's text never holds ", "
-                items = [_encode(obj)[1:-1].replace(", ", sep)]
-            out += ("[\n" + inner, *items, "\n" + pad + "]")
+                text = _encode(obj)[1:-1].replace(", ", sep)
+            out += ("[\n" + inner, text, "\n" + pad + "]")
         else:
             sep = "[\n" + inner
             for item in obj:

@@ -22,7 +22,7 @@ SEP = ",\n    "
 def assert_reprs(values):
     """The kernel's text of ``values`` is ``float.__repr__``'s, value by value."""
     values = [float(v) for v in values]
-    got = "".join(_floatfmt.repr_pieces(values, SEP)).split(SEP)
+    got = _floatfmt.repr_join(values, SEP).split(SEP)
     want = [float.__repr__(v) for v in values]
     assert len(got) == len(want)
     bad = [(v, g) for v, g, w in zip(values, got, want) if g != w]
@@ -41,7 +41,7 @@ DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.integers(0, 2**6
 @settings(max_examples=150)
 @given(x=DOUBLES, others=st.lists(DOUBLES, max_size=12))
 def test_kernel_matches_repr_on_any_double(x, others):
-    assert "".join(_floatfmt.repr_pieces([x], SEP)) == repr(x)
+    assert _floatfmt.repr_join([x], SEP) == repr(x)
     # the same values in a list long enough for dump_report to use the kernel
     long = ([x] + others) * (stateio._KERNEL_MIN // (1 + len(others)) + 1)
     assert len(long) >= stateio._KERNEL_MIN
