@@ -211,8 +211,8 @@ def _rows(x, sep_words):
 
 
 def repr_join(values, sep: str) -> str | None:
-    """``sep.join(map(float.__repr__, values))`` for a list of floats and an
-    ASCII ``sep``, or None if a value is not finite.
+    """``sep.join(map(float.__repr__, values))`` for a float64 vector (or a
+    list of floats) and an ASCII ``sep``, or None if a value is not finite.
 
     The text of every chunk goes into one buffer, sized for the longest
     repr, and becomes one string. A string per chunk left a trail of holes
@@ -224,7 +224,7 @@ def repr_join(values, sep: str) -> str | None:
     buf = np.empty(len(values) * (_LONGEST + len(raw)), dtype=np.uint8)  # untouched past the text
     end = 0
     for start in range(0, len(values), CHUNK):
-        x = np.array(values[start:start + CHUNK], dtype=np.float64)
+        x = np.asarray(values[start:start + CHUNK], dtype=np.float64)  # no copy of an array
         if not np.isfinite(x).all():
             return None
         text = _rows(x, sep_words).view(np.uint8)

@@ -86,15 +86,16 @@ def fully_separable(w: GhzWeights) -> bool:
     return bool(w.delta <= 2.0 * w.lambdas.min())
 
 
-def _columns(w: GhzWeights, qubits) -> list[bytes]:
+def _columns(w: GhzWeights) -> list[bytes]:
     """Each qubit's bit in every PT-positive mask 2j (ties positive), packed.
 
     Two qubits have equal columns iff no PT-positive bipartition separates
     them (Dür & Cirac, PRA 61, 042314 (2000)).
     """
     masks = (w.delta <= 2.0 * w.lambdas).nonzero()[0] * 2 + 2
-    # packbits sets a bit for every nonzero entry
-    return [np.packbits(masks & (1 << (w.n_qubits - 1 - q))).tobytes() for q in qubits]
+    # a row of big-endian bits per mask, qubit q in column 32 - n + q
+    bits = np.unpackbits(masks.astype(">u4").view(np.uint8)).reshape(-1, 32)
+    return [column.tobytes() for column in np.packbits(bits.T[32 - w.n_qubits:], axis=1)]
 
 
 def pair_distillable(w: GhzWeights, i: int, k: int) -> bool:
@@ -108,8 +109,8 @@ def pair_distillable(w: GhzWeights, i: int, k: int) -> bool:
         raise ValueError("need two distinct qubits")
     if not (0 <= i < n and 0 <= k < n):
         raise ValueError(f"qubit pair ({i}, {k}) out of range for {n} qubits")
-    column_i, column_k = _columns(w, (i, k))
-    return column_i == column_k
+    columns = _columns(w)
+    return columns[i] == columns[k]
 
 
 def ghz_distillable(w: GhzWeights) -> bool:
@@ -129,7 +130,7 @@ def classify_family(w: GhzWeights) -> ClassReport:
     n = w.n_qubits
     bisep = frozenset(q for q in range(n) if separable_wrt(w, q))
     singles = {tensor.qubits_to_mask((q,), n): q in bisep for q in range(n)}
-    columns = _columns(w, range(n))
+    columns = _columns(w)
     pairs = frozenset((i, k) for i, k in combinations(range(n), 2) if columns[i] == columns[k])
     class3 = None
     hint = None

@@ -34,6 +34,11 @@ NEGATIVE_WEIGHT_CLAMP = 1e-12
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
+def _left_sum(values: np.ndarray) -> float:
+    """Added left to right from 0.0, as ``sum`` of floats did before Python 3.12."""
+    return np.add.accumulate(values).item(-1) + 0.0 if values.size else 0.0
+
+
 def _clamped(value: float, what: str) -> float:
     if value < -NEGATIVE_WEIGHT_CLAMP:
         raise ValueError(f"{what} = {value} is negative beyond tolerance")
@@ -83,7 +88,7 @@ class GhzWeights:
             if beyond.size:
                 _clamped(float(lams[beyond[0]]), f"lambda_{beyond[0] + 1}")  # raises, naming the first
             lams[lams < 0.0] = 0.0
-        lams.flags.writeable = False
+        lams.setflags(write=False)  # cheaper than writing flags.writeable
         object.__setattr__(self, "lambdas", lams)
         derived = self.lambda0_plus - self.lambda0_minus
         if self.delta is None:
@@ -104,8 +109,8 @@ class GhzWeights:
         return float(self.lambdas[j - 1])
 
     def total(self) -> float:
-        # a left-to-right sum of Python floats: reports print this rounding
-        return self.lambda0_plus + self.lambda0_minus + 2.0 * sum(self.lambdas.tolist())
+        # the pair weights added left to right: depolarize prints this rounding
+        return self.lambda0_plus + self.lambda0_minus + 2.0 * _left_sum(self.lambdas)
 
 
 def ghz_ket(n: int, j: int, sign: int) -> np.ndarray:
@@ -166,7 +171,7 @@ def depolarize(rho: np.ndarray) -> GhzWeights:
     flipped = l0p < l0m
     if flipped:
         l0p, l0m = l0m, l0p
-    total = l0p + l0m + 2.0 * sum(lams.tolist())
+    total = l0p + l0m + 2.0 * _left_sum(lams)
     return GhzWeights(
         n_qubits=n,
         lambda0_plus=l0p / total,

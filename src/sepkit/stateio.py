@@ -19,10 +19,12 @@ which are not JSON, are refused. By default floats are emitted with the
 shortest representation that round-trips exactly; ``precision`` below 17
 rounds to that many significant digits first.
 
-Floats take one of two paths to the same text, that of ``float.__repr__``.
-A list of at least ``_KERNEL_MIN`` floats and nothing else goes through
-``_floatfmt``, whole-array numpy code whose output is pinned to
-``float.__repr__`` by tests; every other list of numbers, and any list
+A report may hold numpy arrays, emitted as their ``tolist()``; the pair
+weights stay ``GhzWeights``' read-only float64 array up to the text. Floats
+take one of two paths to the same text, that of ``float.__repr__``. A
+float64 vector, or a list of only floats, of at least ``_KERNEL_MIN``
+values goes through ``_floatfmt``, whole-array numpy code whose output is
+pinned to ``float.__repr__`` by tests; every other list of numbers, and any
 holding NaN or an infinity, goes through one call of the C JSON encoder.
 """
 
@@ -220,7 +222,7 @@ def weights_dict(w: GhzWeights) -> dict:
     return {
         "lambda0_plus": w.lambda0_plus,
         "lambda0_minus": w.lambda0_minus,
-        "lambdas": w.lambdas.tolist(),
+        "lambdas": w.lambdas,  # the read-only array itself: _emit prints it
         "delta": w.delta,
         "basis_flipped": w.basis_flipped,
     }
@@ -244,6 +246,8 @@ def round_floats(obj, sig: int):
     """Round every float in a JSON-ready structure to ``sig`` significant digits."""
     if sig >= 17:  # 17 digits keep every double exact: nothing to round
         return obj
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, float):
         return float(f"{obj:.{sig}g}")
     if isinstance(obj, dict):
@@ -258,11 +262,11 @@ def round_floats(obj, sig: int):
 _encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 _SCALARS = (int, float, type(None))  # bool is an int
 _LITERALS = {None: "null", True: "true", False: "false"}
-# Lists of floats at least this long go through _floatfmt, which costs less
-# per value than the C encoder's repr but more per call: measured on pair
-# weights, it takes 1.2-1.6x the encoder's time at 255 values, 0.8-0.9x at
-# 511 and 0.5-0.6x at 1,023.
-_KERNEL_MIN = 1000
+# Float vectors at least this long go through _floatfmt, which costs less per
+# value than the C encoder's repr but more per call. Measured on pair weights
+# against the encoder and the tolist it needs: 1.3-1.5x its time at 255
+# values, about 1x near 400, 0.75-0.85x at 511 and 0.5-0.55x at 1,023.
+_KERNEL_MIN = 400
 
 
 def _emit(obj, pad: str, out: list[str]) -> None:
@@ -282,16 +286,11 @@ def _emit(obj, pad: str, out: list[str]) -> None:
         types = set(map(type, obj))
         if not obj:
             out.append("[]")
+        elif len(obj) >= _KERNEL_MIN and types == {float}:
+            _emit(np.array(obj), pad, out)  # the kernel's branch
         elif all(issubclass(t, _SCALARS) for t in types):
-            sep = ",\n" + inner
-            text = None
-            if len(obj) >= _KERNEL_MIN and types == {float}:
-                from . import _floatfmt  # imported by the first long list only
-
-                text = _floatfmt.repr_join(obj, sep)  # None if a value is not finite
-            if text is None:
-                # one C call; a scalar's text never holds ", "
-                text = _encode(obj)[1:-1].replace(", ", sep)
+            # one C call; a scalar's text never holds ", "
+            text = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
             out += ("[\n" + inner, text, "\n" + pad + "]")
         else:
             sep = "[\n" + inner
@@ -300,6 +299,14 @@ def _emit(obj, pad: str, out: list[str]) -> None:
                 _emit(item, inner, out)
                 sep = ",\n" + inner
             out.append("\n" + pad + "]")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim != 1 or obj.dtype != np.float64 or len(obj) < _KERNEL_MIN:
+            return _emit(obj.tolist(), pad, out)
+        from . import _floatfmt  # imported by the first long float list only
+
+        # None if a value is not finite: the C encoder then raises json's ValueError
+        text = _floatfmt.repr_join(obj, ",\n" + inner) or _encode(obj.tolist())
+        out += ("[\n" + inner, text, "\n" + pad + "]")
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
     elif obj is None or obj is True or obj is False:
@@ -313,12 +320,14 @@ def _emit(obj, pad: str, out: list[str]) -> None:
 
 
 def dump_report(report: dict, precision: int = 17) -> str:
-    """The text of ``json.dumps(report, indent=2, ensure_ascii=False)`` plus a newline.
+    """The text of ``json.dumps(report, indent=2, ensure_ascii=False)`` plus a
+    newline, each numpy array in ``report`` taken as its ``tolist()``.
 
     Lists of numbers, booleans and nulls, the bulk of a large report, go
     through the C encoder in one call each, or through ``_floatfmt`` when
-    they hold ``_KERNEL_MIN`` or more finite floats and nothing else. Keys
-    must be strings; NaN and infinities raise ValueError.
+    they hold ``_KERNEL_MIN`` or more finite floats and nothing else, as a
+    float64 vector that long does. Keys must be strings; NaN and infinities
+    raise ValueError.
     """
     out: list[str] = []
     _emit(round_floats(report, precision), "", out)

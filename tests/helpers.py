@@ -117,6 +117,16 @@ def reference_pair_distillable(w, i, k):
     return True
 
 
+def reference_pairs(w):
+    """Distillable pairs from one packbits pass per qubit over the PT-positive
+    masks 2j: qubits whose packed bits agree in every positive mask."""
+    masks = (w.delta <= 2.0 * w.lambdas).nonzero()[0] * 2 + 2
+    columns = [np.packbits(masks & (1 << (w.n_qubits - 1 - q))).tobytes() for q in range(w.n_qubits)]
+    return frozenset(
+        (i, k) for i in range(w.n_qubits) for k in range(i + 1, w.n_qubits) if columns[i] == columns[k]
+    )
+
+
 def permute_qubits(rho, source):
     """Relabel qubits: output register position i carries input qubit source[i]."""
     rho = np.asarray(rho, dtype=complex)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_pair_distillable
+from helpers import reference_pair_distillable, reference_pairs
 from sepkit import (
     GhzWeights,
     bipartition_masks,
@@ -276,3 +276,46 @@ def test_pair_rule_matches_enumeration_and_dense_oracle(w, data):
     position = {old: new for new, old in enumerate(source)}
     moved = frozenset(tuple(sorted((position[i], position[k]))) for i, k in expected)
     assert classify_family(permute_weights(w, source)).distillable_pairs == moved
+
+
+def grouped_weights(n, rng):
+    """Weights whose PT-positive masks split no group of a random qubit grouping.
+
+    Each mask 2j that keeps every group whole is positive or negative by a
+    coin flip; every other mask is negative. So the qubits within a group are
+    distillable pairs, and pairs across groups mostly are not.
+    """
+    labels = rng.integers(0, max(2, n // 4), n)
+    masks = 2 * np.arange(1, 1 << (n - 1))
+    whole = np.ones(masks.size, dtype=bool)
+    for label in np.unique(labels):
+        group = sum(1 << (n - 1 - q) for q in np.flatnonzero(labels == label))
+        whole &= np.isin(masks & group, (0, group))
+    positive = whole & (rng.random(masks.size) < 0.5)
+    # integer weights: delta 100 against 2 lambda_j of 100..198 when positive,
+    # 0..98 when not; lambda0_minus pads the total to a power of two, so
+    # dividing by it is exact
+    units = np.where(positive, rng.integers(50, 100, masks.size), rng.integers(0, 50, masks.size))
+    used = 100 + 2 * int(units.sum())
+    total = 1 << used.bit_length()
+    minus = (total - used) // 2
+    return GhzWeights(n, (minus + 100) / total, minus / total, units / total, delta=100 / total)
+
+
+@pytest.mark.parametrize("n", range(12, 21))
+def test_pair_routine_matches_per_qubit_packbits_at_large_n(n):
+    rng = np.random.default_rng(1000 + n)
+    grouped = grouped_weights(n, rng)
+    states = [werner_like(n, 0.95), random_weights(n, rng), grouped]  # all pairs, few, some
+    if n <= 18:  # past that werner_like's weights add up to 1 - 7e-12 at the tie and are refused
+        states.append(werner_like(n, 1 / (1 + 2 ** (n - 1))))  # ties: no pair
+    everything = frozenset(combinations(range(n), 2))
+    assert 0 < len(reference_pairs(grouped)) < len(everything)
+    for w in states:
+        expected = reference_pairs(w)
+        assert classify_family(w).distillable_pairs == expected
+        inside = sorted(expected)[:2]
+        outside = sorted(everything - expected)[:2]
+        for i, k in [*inside, *outside, (0, n - 1)]:
+            assert pair_distillable(w, i, k) is ((i, k) in expected)
+            assert pair_distillable(w, k, i) is ((i, k) in expected)

@@ -1,3 +1,7 @@
+import functools
+import operator
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from sepkit import (
     werner_like,
 )
 from sepkit import tensor
+from sepkit.family import _left_sum
 
 
 def ghz_basis_weights_oracle(rho):
@@ -268,3 +273,47 @@ def test_two_qubit_family_degenerates_to_bell_diagonal():
             assert pt_positive_analytic(w, mask) is ppt
             # tighter tolerance so the oracle resolves the 1e-9 window
             assert tensor.is_ppt(family_density(w), mask, tol=1e-10) is ppt
+
+
+def python_left_sum(values):
+    """Left-to-right sum of Python floats from 0.0, on any Python version."""
+    return functools.reduce(operator.add, values.tolist(), 0.0)
+
+
+def test_left_sum_is_the_python_left_to_right_sum():
+    rng = np.random.default_rng(2026)
+    tiny = np.array([5e-324, 2.2250738585072014e-308, 2.225073858507201e-308])
+    cases = [
+        np.zeros(1), np.zeros(7), np.array([-0.0]), np.full(5, -0.0), np.array([-0.0, 0.0, -0.0]),
+        np.array([0.0, -0.0]), np.array([0.3]), np.array([5e-324]), tiny, -tiny,
+        np.concatenate([tiny, [-0.0, 1e-300, -1e-300]]), np.array([1e16, 1.0, -1e16, 1.0]),
+    ]
+    for _ in range(2000):
+        size = int(rng.integers(1, 600))
+        values = rng.dirichlet(np.ones(size)) if rng.random() < 0.5 else rng.standard_normal(size)
+        cases.append(values * 10.0 ** rng.integers(-320, 300) if rng.random() < 0.2 else values)
+    for values in cases:
+        got = _left_sum(values)
+        want = python_left_sum(values)
+        assert type(got) is float
+        # bit for bit, the sign of zero included
+        assert struct.pack("<d", got) == struct.pack("<d", want), values
+    assert _left_sum(np.zeros(0)) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 14])
+def test_total_and_depolarize_add_left_to_right(n):
+    rng = np.random.default_rng(n)
+    w = random_weights(n, rng)
+    assert w.total() == w.lambda0_plus + w.lambda0_minus + 2.0 * python_left_sum(w.lambdas)
+    if n <= 8:
+        rho = random_density(n, rng)
+        diag = rho.diagonal().real
+        block = (diag[0] + diag[-1]) / 2.0
+        coherence = rho[0, -1].real
+        lams = (diag[2::2] + diag[-3::-2]) / 2.0
+        got = depolarize(rho)
+        high, low = sorted((block + coherence, block - coherence), reverse=True)
+        total = high + low + 2.0 * python_left_sum(lams)
+        assert got.lambda0_plus == high / total
+        assert np.array_equal(got.lambdas, lams / total)

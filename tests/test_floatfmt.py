@@ -77,7 +77,7 @@ def test_non_finite_value_in_a_long_report_list_exits_2(capsys, monkeypatch):
 
     def with_nan(w):
         doc = weights_dict(w)
-        doc["lambdas"] = doc["lambdas"] * stateio._KERNEL_MIN + [math.nan]
+        doc["lambdas"] = doc["lambdas"].tolist() * stateio._KERNEL_MIN + [math.nan]
         return doc
 
     monkeypatch.setattr(stateio, "weights_dict", with_nan)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from sepkit import family_density, ghz_ket, pt_positive_analytic, random_weights, werner_like
 from sepkit import _floatfmt, stateio, witness
-from sepkit.cli import build_parser
+from sepkit.cli import build_parser, main
 
 
 def write_json(path, doc):
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(doc, default=np.ndarray.tolist), encoding="utf-8")
     return str(path)
 
 
@@ -168,7 +168,9 @@ def dumps_indent2(report, precision=17):
     """What dump_report must print: the stdlib's indent=2 layout."""
     if precision < 17:
         report = stateio.round_floats(report, precision)
-    return json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    return json.dumps(
+        report, indent=2, ensure_ascii=False, allow_nan=False, default=np.ndarray.tolist
+    ) + "\n"
 
 
 def cli_report(tmp_path, w, command, *options):
@@ -242,15 +244,54 @@ def test_dump_report_matches_json_dumps_on_trees(tree):
             assert stateio.dump_report(tree, precision) == expected
 
 
+# short, long enough for the float kernel, and across two of its chunks
+ARRAY_LENGTHS = (3, stateio._KERNEL_MIN, _floatfmt.CHUNK + 2)
+
+
 @pytest.mark.parametrize("value", [math.nan, -math.inf, np.float64(math.inf)], ids=repr)
 def test_dump_report_rejects_non_finite_floats(value):
     # the last two lists are long enough for the float kernel, the last spans two of its chunks
     long = [0.5] * max(stateio._KERNEL_MIN, _floatfmt.CHUNK + 2)
-    reports = ({"x": value}, {"x": [1.0, value]}, {"x": [[0.5, value]]}, {"x": ["s", value]},
-               {"x": [value] + long[1:stateio._KERNEL_MIN]}, {"x": long[:-1] + [value]})
+    reports = [{"x": value}, {"x": [1.0, value]}, {"x": [[0.5, value]]}, {"x": ["s", value]},
+               {"x": [value] + long[1:stateio._KERNEL_MIN]}, {"x": long[:-1] + [value]}]
+    for length in ARRAY_LENGTHS:
+        for at in (0, length - 1):
+            values = np.full(length, 0.25)
+            values[at] = value
+            reports.append({"x": values})
     for report in reports:
         with pytest.raises(ValueError, match="not JSON compliant"):
             stateio.dump_report(report)
+
+
+@pytest.mark.parametrize("length", ARRAY_LENGTHS)
+def test_non_finite_weights_array_exits_2(length, tmp_path, capsys, monkeypatch):
+    weights_dict = stateio.weights_dict
+
+    def with_inf(w):
+        doc = weights_dict(w)
+        doc["lambdas"] = np.append(np.resize(doc["lambdas"], length - 1), math.inf)
+        return doc
+
+    monkeypatch.setattr(stateio, "weights_dict", with_inf)
+    path = write_json(tmp_path / "s.json", weights_doc(werner_like(3, 0.3)))
+    assert main(["classify", "--input", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "not JSON compliant" in err
+
+
+@pytest.mark.parametrize("n", [3, 11, 16])
+def test_weights_dict_holds_the_read_only_array(n):
+    w = random_weights(n, np.random.default_rng(n))
+    kept = w.lambdas.copy()
+    report = {"weights": stateio.weights_dict(w)}
+    assert report["weights"]["lambdas"] is w.lambdas
+    listed = {"weights": {**report["weights"], "lambdas": w.lambdas.tolist()}}
+    for precision in (17, 5):  # the array prints as its list does
+        assert stateio.dump_report(report, precision) == dumps_indent2(listed, precision)
+        assert not w.lambdas.flags.writeable
+        assert np.array_equal(w.lambdas, kept)
 
 
 def test_ket_as_pairs():

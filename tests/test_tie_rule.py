@@ -91,7 +91,8 @@ def test_every_layer_agrees_with_classify(state_path, w):
         frame = permute_weights(w, (3 - i - k, i, k))
         assert (minimal_m(frame) is None) == (not distillable), (i, k)
     state_path.write_text(
-        json.dumps({"n_qubits": 3, "weights": stateio.weights_dict(w)}), encoding="utf-8"
+        json.dumps({"n_qubits": 3, "weights": stateio.weights_dict(w)}, default=np.ndarray.tolist),
+        encoding="utf-8",
     )
     classified = run_json("classify", "--input", str(state_path))
     witnessed = run_json("witness", "--input", str(state_path))
