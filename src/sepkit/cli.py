@@ -106,6 +106,8 @@ def cmd_classify(args) -> tuple[dict, list[str], str | None]:
 def cmd_depolarize(args) -> tuple[dict, list[str], str | None]:
     w, report = _load(args, "depolarize", tensor.DEFAULT_PT_TOL)
     report["weights"] = stateio.weights_dict(w)
+    if args.fmt != "text":  # the lambdas line lists every weight in Python
+        return report, [], None
     lines = [
         f"n_qubits: {w.n_qubits}",
         f"lambda0_plus:  {_num(w.lambda0_plus, args.precision)}",
@@ -231,11 +233,12 @@ def cmd_witness(args) -> tuple[dict, list[str], str | None]:
         abs(wd.lambda0_minus - w.lambda0_minus),
         float(np.abs(wd.lambdas - w.lambdas).max()),
     )
+    records = stateio.ensemble_dict(ensemble)
     report["ensemble"] = {
         "term_count": len(ensemble.terms),
         "reconstruction_residual": recon,
         "depolarize_round_trip_max_error": round_trip,
-        **stateio.ensemble_dict(ensemble),
+        **records,
     }
     report["ensemble_error"] = None
     lines.append(
@@ -245,7 +248,7 @@ def cmd_witness(args) -> tuple[dict, list[str], str | None]:
     if args.ensemble_out:
         try:
             with open(args.ensemble_out, "w", encoding="utf-8") as fh:
-                fh.write(stateio.dump_report(stateio.ensemble_dict(ensemble), args.precision))
+                fh.write(stateio.dump_report(records, args.precision))
         except OSError as exc:
             raise StateFileError(f"cannot write {args.ensemble_out}: {exc.strerror}") from exc
         lines.append(f"ensemble written to {args.ensemble_out}")

@@ -99,8 +99,9 @@ class GhzWeights:
                 f"lambda0_plus - lambda0_minus = {derived}"
             )
         object.__setattr__(self, "delta", _clamped(self.delta, "delta"))
-        total = self.total()
-        # written so that a NaN anywhere fails it
+        # numpy's pairwise sum: its error, unlike total()'s, does not grow with
+        # the 2**(n-1) weights; written so that a NaN anywhere fails it
+        total = self.lambda0_plus + self.lambda0_minus + 2.0 * float(lams.sum())
         if not abs(total - 1.0) <= WEIGHT_SUM_ATOL:
             raise ValueError(f"weights sum to {total}, not 1")
 

@@ -13,19 +13,18 @@ A state file is a JSON document with ``n_qubits`` and exactly one of:
   trace within ``tensor.DENSITY_ATOL``.
 
 Reports are JSON objects with a fixed key order, a ``tool_version`` field,
-and newline-terminated output, emitted byte for byte in the layout of
-``json.dumps(report, indent=2, ensure_ascii=False)``. NaN and infinities,
-which are not JSON, are refused. By default floats are emitted with the
-shortest representation that round-trips exactly; ``precision`` below 17
-rounds to that many significant digits first.
+and newline-terminated output: the text of ``json.dumps(report, indent=2,
+ensure_ascii=False, allow_nan=False)``, so NaN and infinities, which are not
+JSON, raise ValueError. By default floats are emitted with the shortest
+representation that round-trips exactly; ``precision`` below 17 rounds to
+that many significant digits first.
 
 A report may hold numpy arrays, emitted as their ``tolist()``; the pair
-weights stay ``GhzWeights``' read-only float64 array up to the text. Floats
-take one of two paths to the same text, that of ``float.__repr__``. A
-float64 vector, or a list of only floats, of at least ``_KERNEL_MIN``
-values goes through ``_floatfmt``, whole-array numpy code whose output is
-pinned to ``float.__repr__`` by tests; every other list of numbers, and any
-holding NaN or an infinity, goes through one call of the C JSON encoder.
+weights stay ``GhzWeights``' read-only float64 array up to the text.
+json.dumps writes all of a report but its 1-d numeric arrays, each of which
+is one call of the C JSON encoder, or, for a float64 vector of at least
+``_KERNEL_MIN`` values, of ``_floatfmt``: whole-array numpy code whose
+output is pinned to ``float.__repr__`` by tests.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
-from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -222,7 +221,7 @@ def weights_dict(w: GhzWeights) -> dict:
     return {
         "lambda0_plus": w.lambda0_plus,
         "lambda0_minus": w.lambda0_minus,
-        "lambdas": w.lambdas,  # the read-only array itself: _emit prints it
+        "lambdas": w.lambdas,  # the read-only array itself, printed by dump_report
         "delta": w.delta,
         "basis_flipped": w.basis_flipped,
     }
@@ -243,11 +242,15 @@ def ensemble_dict(e) -> dict:
 
 
 def round_floats(obj, sig: int):
-    """Round every float in a JSON-ready structure to ``sig`` significant digits."""
+    """Round every float in a JSON-ready structure to ``sig`` significant digits.
+
+    A float64 vector stays a float64 array; any other numpy array becomes a list.
+    """
     if sig >= 17:  # 17 digits keep every double exact: nothing to round
         return obj
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        listed = round_floats(obj.tolist(), sig)
+        return np.array(listed) if obj.ndim == 1 and obj.dtype == np.float64 else listed
     if isinstance(obj, float):
         return float(f"{obj:.{sig}g}")
     if isinstance(obj, dict):
@@ -260,76 +263,66 @@ def round_floats(obj, sig: int):
 # Without an indent this encoder runs in C. allow_nan=False turns NaN and the
 # infinities, which are not JSON, into a ValueError.
 _encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
-_SCALARS = (int, float, type(None))  # bool is an int
-_LITERALS = {None: "null", True: "true", False: "false"}
 # Float vectors at least this long go through _floatfmt, which costs less per
 # value than the C encoder's repr but more per call. Measured on pair weights
 # against the encoder and the tolist it needs: 1.3-1.5x its time at 255
 # values, about 1x near 400, 0.75-0.85x at 511 and 0.5-0.55x at 1,023.
 _KERNEL_MIN = 400
+# What json.dumps writes in place of each numeric vector. Its text has a quote
+# at each end and none inside, so two of its occurrences never overlap.
+_MARK = "\0array\0"
+_MARK_TEXT = _encode(_MARK)
+# Reports are trees, so json.dumps skips its check for cycles.
+_dumps = partial(json.dumps, indent=2, ensure_ascii=False, allow_nan=False, check_circular=False)
 
 
-def _emit(obj, pad: str, out: list[str]) -> None:
-    """Append ``obj`` to ``out`` in the ``indent=2`` layout, nested ``pad`` deep."""
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        sep = "{\n" + inner
-        for key, value in obj.items():
-            out.append(sep + encode_basestring(key) + ": ")
-            _emit(value, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        types = set(map(type, obj))
-        if not obj:
-            out.append("[]")
-        elif len(obj) >= _KERNEL_MIN and types == {float}:
-            _emit(np.array(obj), pad, out)  # the kernel's branch
-        elif all(issubclass(t, _SCALARS) for t in types):
-            # one C call; a scalar's text never holds ", "
-            text = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
-            out += ("[\n" + inner, text, "\n" + pad + "]")
-        else:
-            sep = "[\n" + inner
-            for item in obj:
-                out.append(sep)
-                _emit(item, inner, out)
-                sep = ",\n" + inner
-            out.append("\n" + pad + "]")
-    elif isinstance(obj, np.ndarray):
-        if obj.ndim != 1 or obj.dtype != np.float64 or len(obj) < _KERNEL_MIN:
-            return _emit(obj.tolist(), pad, out)
-        from . import _floatfmt  # imported by the first long float list only
+def _vector_text(a: np.ndarray, pad: str) -> tuple[str, ...]:
+    """A numeric vector in the indent=2 layout, ``pad`` deep, as pieces: its text is not copied."""
+    if not len(a):
+        return ("[]",)
+    sep = ",\n" + pad + "  "
+    text = None
+    if len(a) >= _KERNEL_MIN and a.dtype == np.float64:
+        from . import _floatfmt  # imported by the first long float vector only
 
-        # None if a value is not finite: the C encoder then raises json's ValueError
-        text = _floatfmt.repr_join(obj, ",\n" + inner) or _encode(obj.tolist())
-        out += ("[\n" + inner, text, "\n" + pad + "]")
-    elif isinstance(obj, str):
-        out.append(encode_basestring(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append(_LITERALS[obj])
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float) and math.isfinite(obj):
-        out.append(float.__repr__(obj))
-    else:
-        out.append(_encode(obj))  # json's own ValueError or TypeError
+        text = _floatfmt.repr_join(a, sep)  # None if a value is not finite
+    if text is None:
+        # one C call, which raises json's ValueError on NaN; a number's text never holds ", "
+        text = _encode(a.tolist())[1:-1].replace(", ", sep)
+    return "[\n" + pad + "  ", text, "\n" + pad + "]"
 
 
 def dump_report(report: dict, precision: int = 17) -> str:
-    """The text of ``json.dumps(report, indent=2, ensure_ascii=False)`` plus a
-    newline, each numpy array in ``report`` taken as its ``tolist()``.
+    """``json.dumps(report, indent=2, ensure_ascii=False)`` plus a newline,
+    each numpy array in ``report`` taken as its ``tolist()``.
 
-    Lists of numbers, booleans and nulls, the bulk of a large report, go
-    through the C encoder in one call each, or through ``_floatfmt`` when
-    they hold ``_KERNEL_MIN`` or more finite floats and nothing else, as a
-    float64 vector that long does. Keys must be strings; NaN and infinities
-    raise ValueError.
+    json.dumps writes a mark for each 1-d numeric array, and the array's
+    text replaces the mark at its line's indentation: one C-encoder call, or
+    ``_floatfmt`` for a float64 vector of ``_KERNEL_MIN`` or more finite
+    values. Other arrays go through ``tolist()``, and so does every array
+    of a report holding a string that reads as the mark. Non-str keys take
+    json.dumps' rules; NaN and infinities raise ValueError.
     """
-    out: list[str] = []
-    _emit(round_floats(report, precision), "", out)
+    report = round_floats(report, precision)
+    vectors: list[np.ndarray] = []
+
+    def default(obj):
+        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
+            vectors.append(obj)
+            return _MARK
+        return np.ndarray.tolist(obj)  # a TypeError for anything but an array
+
+    try:
+        pieces = _dumps(report, default=default).split(_MARK_TEXT)
+        if len(pieces) != len(vectors) + 1:  # some string in the report is the mark
+            return _dumps(report, default=np.ndarray.tolist) + "\n"
+        out = [pieces[0]]
+        for a, before, after in zip(vectors, pieces, pieces[1:]):
+            line = before.rpartition("\n")[2]  # a list item's indent, or a key's line
+            out += (*_vector_text(a, line[: len(line) - len(line.lstrip())]), after)
+    finally:
+        # json's encoder closures form a reference cycle that keeps `default`
+        # alive until the next collection: let it keep no array
+        vectors.clear()
     out.append("\n")
     return "".join(out)

@@ -345,6 +345,7 @@ def test_witness_ensemble_out_file(capsys, tmp_path):
     assert code == 0
     saved = json.loads(out_path.read_text(encoding="utf-8"))
     assert len(saved["terms"]) == 6
+    assert saved == {key: doc["ensemble"][key] for key in ("n_qubits", "terms")}
 
 
 def test_witness_ensemble_out_unwritable(capsys, tmp_path):

@@ -46,7 +46,7 @@ def test_kernel_matches_repr_on_any_double(x, others):
     long = ([x] + others) * (stateio._KERNEL_MIN // (1 + len(others)) + 1)
     assert len(long) >= stateio._KERNEL_MIN
     assert_reprs(long)
-    assert stateio.dump_report({"v": long}) == json.dumps({"v": long}, indent=2) + "\n"
+    assert stateio.dump_report({"v": np.array(long)}) == json.dumps({"v": long}, indent=2) + "\n"
 
 
 def test_kernel_matches_repr_on_edge_values():

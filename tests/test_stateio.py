@@ -1,12 +1,15 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepkit import family_density, ghz_ket, pt_positive_analytic, random_weights, werner_like
+from sepkit import classify_family, family_density, ghz_ket, pt_positive_analytic
+from sepkit import random_weights, werner_like
 from sepkit import _floatfmt, stateio, witness
 from sepkit.cli import build_parser, main
 
@@ -189,6 +192,17 @@ def test_dump_report_matches_json_dumps_on_classify_reports(tmp_path):
             assert stateio.dump_report(report, 5) == dumps_indent2(report, 5)
 
 
+@pytest.mark.parametrize("n", [19, 20])
+def test_werner_tie_at_large_n_reads_positive(n, tmp_path, capsys):
+    # 2**(n-1) - 1 equal weights, added left to right, miss 1 by 7e-12 at n = 19
+    w = werner_like(n, 1 / (1 + 2 ** (n - 1)))
+    assert w.delta == 2.0 * w.lam(1)
+    assert all(classify_family(w).pt_positive.values())
+    path = write_json(tmp_path / "s.json", {"n_qubits": n, "weights": stateio.weights_dict(w)})
+    assert main(["classify", "--input", path, "--text"]) == 0
+    assert "fully separable: yes\n" in capsys.readouterr().out
+
+
 def test_dump_report_matches_json_dumps_on_other_reports(tmp_path):
     rng = np.random.default_rng(43)
     separable = werner_like(3, 0.15)
@@ -242,6 +256,50 @@ def test_dump_report_matches_json_dumps_on_trees(tree):
                 stateio.dump_report(tree, precision)
         else:
             assert stateio.dump_report(tree, precision) == expected
+
+
+LONG = np.linspace(-1.0, 1.0, stateio._KERNEL_MIN + 1)  # long enough for the float kernel
+ARRAY_REPORTS = {
+    "a string that reads as the mark": {"s": stateio._MARK, "v": np.arange(3.0), "l": [LONG]},
+    "the mark as a key": {stateio._MARK: LONG, "v": [np.arange(2)]},
+    "strings holding NUL": {
+        "a": "\0", "b": ["x\0", np.arange(2.0)], "c": '"\0array\0', "d": "\0array\0\0", "v": LONG,
+    },
+    "arrays in lists": {"l": [np.arange(3.0), [LONG, np.ones(2)], {"k": [np.zeros(1)]}], "t": (LONG,)},
+    "a top-level array": LONG,
+    "a top-level list": [np.arange(2.0), "s", LONG],
+    "empty arrays": {"e": np.zeros(0), "l": [np.zeros(0, dtype=int), np.zeros((0, 2))], "f": np.zeros(0)},
+    "2-d arrays": {"m": np.arange(6.0).reshape(2, 3), "l": [np.eye(2, dtype=bool)], "z": np.zeros((2, 0))},
+    "int and bool arrays": {
+        "i": np.arange(-3, 3), "u": np.array([0, 2**64 - 1], dtype=np.uint64),
+        "b": np.array([True, False]), "i8": np.arange(-2, 2, dtype=np.int8), "long": np.arange(500),
+    },
+    "other float arrays": {"f32": np.linspace(0, 1, 7, dtype=np.float32), "f16": np.ones(3, np.float16)},
+    "string and object arrays": {
+        "s": np.array(["a, b", "c,  d", ""]), "o": np.array(["x, y", 1, None, 0.5, [1, 2]], dtype=object),
+        "of": np.array([0.1, 0.2], dtype=object),
+    },
+    "non-str keys": {1: np.arange(2.0), 2.5: "x", None: [LONG], False: {3: np.arange(2)}},
+}
+
+
+@pytest.mark.parametrize("report", ARRAY_REPORTS.values(), ids=ARRAY_REPORTS)
+def test_dump_report_matches_json_dumps_on_arrays(report):
+    for precision in (17, 5):
+        assert stateio.dump_report(report, precision) == dumps_indent2(report, precision)
+
+
+def test_dump_report_releases_its_arrays():
+    gc.disable()  # json.dumps' encoder closures form a cycle that only a collection frees
+    try:
+        for value in ("s", stateio._MARK):  # arrays spliced, then all through tolist()
+            report = {"k": value, "v": np.linspace(0.0, 1.0, stateio._KERNEL_MIN), "l": [np.arange(3)]}
+            refs = [weakref.ref(report["v"]), weakref.ref(report["l"][0])]
+            text = stateio.dump_report(report)
+            del report, text
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # short, long enough for the float kernel, and across two of its chunks
