@@ -45,7 +45,6 @@ from .witness import (
     build_rho_tilde,
     ensemble_density,
     fully_separable_ensemble,
-    phi_product_factors,
     rho_hat_density,
     verify_ensemble,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "pair_fidelity_after_projection",
     "partition_lambda_index",
     "permute_weights",
-    "phi_product_factors",
     "plan_pair_distillation",
     "pt_positive_analytic",
     "random_weights",

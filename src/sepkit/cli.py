@@ -235,14 +235,14 @@ def cmd_witness(args) -> tuple[dict, list[str], str | None]:
     )
     records = stateio.ensemble_dict(ensemble)
     report["ensemble"] = {
-        "term_count": len(ensemble.terms),
+        "term_count": len(ensemble.weights),
         "reconstruction_residual": recon,
         "depolarize_round_trip_max_error": round_trip,
         **records,
     }
     report["ensemble_error"] = None
     lines.append(
-        f"separable ensemble: {len(ensemble.terms)} product terms, "
+        f"separable ensemble: {len(ensemble.weights)} product terms, "
         f"reconstruction residual {recon:.3e}"
     )
     if args.ensemble_out:

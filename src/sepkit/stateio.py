@@ -227,18 +227,11 @@ def weights_dict(w: GhzWeights) -> dict:
     }
 
 
-def ket_as_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in np.asarray(v, dtype=complex)]
-
-
 def ensemble_dict(e) -> dict:
-    return {
-        "n_qubits": e.n_qubits,
-        "terms": [
-            {"weight": float(weight), "factors": [ket_as_pairs(f) for f in factors]}
-            for weight, factors in e.terms
-        ],
-    }
+    """Each term's weight and factors, every amplitude as its [re, im] pair."""
+    factors = np.stack([e.factors.real, e.factors.imag], -1).tolist()
+    terms = [{"weight": wt, "factors": f} for wt, f in zip(e.weights.tolist(), factors)]
+    return {"n_qubits": e.n_qubits, "terms": terms}
 
 
 def round_floats(obj, sig: int):

@@ -12,7 +12,7 @@ Conventions used package-wide:
 
 Kets are 1-d complex arrays and density operators 2-d complex arrays; the
 ``check_*`` helpers enforce the invariants the operations rely on
-(power-of-two dimension, hermiticity, unit trace).
+(power-of-two dimension, hermiticity, unit trace, positivity).
 """
 
 from __future__ import annotations
@@ -46,13 +46,6 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
-def density_of(psi) -> np.ndarray:
-    """Rank-one density operator |psi><psi| of a normalized ket."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    n_qubits_of(v.shape[0])
-    return np.outer(v, v.conj())
-
-
 def check_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator must be a square matrix")
@@ -62,13 +55,22 @@ def check_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> None:
 
 
 def check_density(rho: np.ndarray) -> int:
-    """Validate a unit-trace density operator within DENSITY_ATOL, returning its qubit count."""
+    """Validate a density operator within DENSITY_ATOL, returning its qubit count.
+
+    Positivity is a Cholesky of rho + DENSITY_ATOL * I; eigvalsh runs only if that fails.
+    """
     rho = np.asarray(rho)
     check_hermitian(rho, atol=DENSITY_ATOL)
     n = n_qubits_of(rho.shape[0])
     tr = rho.trace().real
     if abs(tr - 1.0) > DENSITY_ATOL:
         raise ValueError(f"trace {tr} differs from 1 by more than {DENSITY_ATOL:.1e}")
+    try:
+        np.linalg.cholesky(rho + DENSITY_ATOL * np.eye(len(rho)))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(rho)[0]  # settles the margin and words the error
+        if low < -DENSITY_ATOL:
+            raise ValueError(f"not positive semidefinite: smallest eigenvalue {low:.6g}") from None
     return n
 
 

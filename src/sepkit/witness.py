@@ -16,7 +16,8 @@ objects:
   computational product states; the coherent rest equals delta times the
   sum of the four +-basis product kets (+++), (+--), (-+-), (--+), whose
   projector sum coincides with the sum of the four plus-sign GHZ
-  projectors.
+  projectors. The mixture is two arrays: a weight per term, and each
+  term's factors as rows of ``KETS``.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from . import tensor
 from .family import GhzWeights, family_density, ghz_ket
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-KET_PLUS = np.array([_SQRT1_2, _SQRT1_2], dtype=complex)
-KET_MINUS = np.array([_SQRT1_2, -_SQRT1_2], dtype=complex)
-_COMPUTATIONAL = np.eye(2, dtype=complex)  # rows |0> and |1>, shared by every term
-_COMPUTATIONAL.flags.writeable = False
-
-# Sign patterns of the four product kets spanning the plus-sign GHZ sector
-# (0 = plus, 1 = minus); each pattern has an even number of minus factors.
-PHI_SIGN_PATTERNS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+# Single-qubit kets |0>, |1>, |+>, |->: every ensemble factor is one of these rows.
+KETS = np.array([[1, 0], [0, 1], [_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
+KETS.setflags(write=False)
+# Bits of the 3-qubit index b, qubit 0 first: the KETS rows of |b>, and,
+# plus 2, of the +- product ket with a minus where b has a one.
+_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
+# The GHZ kets in the order of rho_hat's weights: psi_0^+, psi_0^-, psi_1^+, ...
+_GHZ_KETS = np.array([ghz_ket(3, j, sign) for j in range(4) for sign in (1, -1)])
 
 
 class EnsembleNotApplicableError(ValueError):
@@ -61,12 +62,32 @@ class RhoHatWeights:
     hat_minus: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparableEnsemble:
-    """Mixture of full product states: (weight, one dim-2 ket per qubit) terms."""
+    """Mixture of full product states as two read-only arrays.
 
-    n_qubits: int
-    terms: tuple
+    Term t has weight ``weights[t]`` and product ket
+    ``factors[t, 0] (x) factors[t, 1] (x) ...``, one dim-2 ket per qubit:
+    ``weights`` has shape (terms,) and ``factors`` (terms, qubits, 2).
+    Any other shape, ragged input included, raises ValueError.
+    """
+
+    weights: np.ndarray
+    factors: np.ndarray
+
+    def __post_init__(self):
+        weights = np.array(self.weights, dtype=float)
+        factors = np.array(self.factors, dtype=complex)
+        if (factors.ndim != 3 or not factors.shape[1] or factors.shape[2] != 2
+                or weights.shape != factors.shape[:1]):
+            raise ValueError(f"shapes {weights.shape}, {factors.shape}: not (terms,), (terms, qubits, 2)")
+        for name, a in (("weights", weights), ("factors", factors)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.factors.shape[1]
 
 
 def _require_three_qubits(w: GhzWeights) -> None:
@@ -102,24 +123,17 @@ def build_rho_hat(w: GhzWeights) -> RhoHatWeights:
     return RhoHatWeights(base=w, hat_plus=tuple(plus.tolist()), hat_minus=tuple(minus.tolist()))
 
 
+def _projector_sum(weights: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """sum_t weights[t] |kets[t]><kets[t]|, added to zeros in term order as a loop adds."""
+    projectors = kets[:, :, None] * kets.conj()[:, None, :]
+    return np.add.reduce(weights[:, None, None] * projectors, initial=0.0)
+
+
 def rho_hat_density(hw: RhoHatWeights) -> np.ndarray:
     """Dense operator with the split weights on the GHZ projectors."""
     w = hw.base
-    rho = w.lambda0_plus * tensor.density_of(ghz_ket(3, 0, +1))
-    rho += w.lambda0_minus * tensor.density_of(ghz_ket(3, 0, -1))
-    for j in range(1, 4):
-        rho += hw.hat_plus[j - 1] * tensor.density_of(ghz_ket(3, j, +1))
-        rho += hw.hat_minus[j - 1] * tensor.density_of(ghz_ket(3, j, -1))
-    return rho
-
-
-def phi_product_factors(k: int) -> list[np.ndarray]:
-    """Single-qubit factors of the k-th +-basis product ket (k = 0..3)."""
-    return [KET_MINUS if bit else KET_PLUS for bit in PHI_SIGN_PATTERNS[k]]
-
-
-def _computational_factors(index: int) -> list[np.ndarray]:
-    return [_COMPUTATIONAL[(index >> (2 - q)) & 1] for q in range(3)]
+    plus_minus = ((w.lambda0_plus, *hw.hat_plus), (w.lambda0_minus, *hw.hat_minus))
+    return _projector_sum(np.column_stack(plus_minus).ravel(), _GHZ_KETS)
 
 
 def fully_separable_ensemble(w: GhzWeights) -> SeparableEnsemble:
@@ -133,63 +147,44 @@ def fully_separable_ensemble(w: GhzWeights) -> SeparableEnsemble:
     """
     hw = build_rho_hat(w)
     delta = w.delta
-    terms = []
-    for k in range(4):
-        if k == 0:
-            coeff = (w.lambda0_plus + w.lambda0_minus - delta) / 2.0
-        else:
-            coeff = (hw.hat_plus[k - 1] + hw.hat_minus[k - 1] - delta) / 2.0
-        if coeff <= 0.0:
-            continue
-        terms.append((coeff, tuple(_computational_factors(2 * k))))
-        terms.append((coeff, tuple(_computational_factors(7 - 2 * k))))
+    pair_sums = np.add((w.lambda0_plus, *hw.hat_plus), (w.lambda0_minus, *hw.hat_minus))
+    coeffs = (pair_sums - delta) / 2.0
+    kept = np.flatnonzero(coeffs > 0.0)
+    weights = coeffs[kept].repeat(2)
+    rows = _BITS[np.column_stack((2 * kept, 7 - 2 * kept)).ravel()]
     if delta > 0.0:
-        for k in range(4):
-            terms.append((delta, tuple(phi_product_factors(k))))
-    return SeparableEnsemble(n_qubits=3, terms=tuple(terms))
-
-
-def _stacked_factors(e: SeparableEnsemble) -> np.ndarray:
-    """The terms' factors as one (terms, qubits, 2) complex array."""
-    return np.array([f for _, fs in e.terms for f in fs], dtype=complex).reshape(-1, e.n_qubits, 2)
-
-
-def _mixture(e: SeparableEnsemble, factors: np.ndarray) -> np.ndarray:
-    """The weighted projectors of the stacked ``factors``' product kets, summed.
-
-    All kets are formed at once, left to right as np.kron forms them, and
-    the projectors are added to a zero matrix in term order, as a loop does.
-    """
-    psi = factors[:, 0]
-    for q in range(1, e.n_qubits):
-        psi = (psi[:, :, None] * factors[:, q, None, :]).reshape(-1, 2 << q)
-    weights = np.array([weight for weight, _ in e.terms], dtype=float).reshape(-1, 1, 1)
-    return np.add.reduce(weights * (psi[:, :, None] * psi.conj()[:, None, :]), initial=0.0)
+        weights = np.append(weights, [delta] * 4)
+        # the +- kets with an even number of minus factors span the plus-sign GHZ sector
+        rows = np.concatenate((rows, _BITS[[0, 3, 5, 6]] + 2))
+    return SeparableEnsemble(weights, KETS[rows])
 
 
 def ensemble_density(e: SeparableEnsemble) -> np.ndarray:
-    """Mixture of the ensemble's product states as a dense matrix."""
-    return _mixture(e, _stacked_factors(e))
+    """Mixture of the ensemble's product states as a dense matrix.
+
+    Every product ket is formed at once, left to right as np.kron forms it.
+    """
+    psi = e.factors[:, 0]
+    for q in range(1, e.n_qubits):
+        psi = (psi[:, :, None] * e.factors[:, q, None, :]).reshape(-1, 2 << q)
+    return _projector_sum(e.weights, psi)
 
 
 def verify_ensemble(e: SeparableEnsemble, target: np.ndarray) -> float:
     """Max-abs entrywise deviation of the ensemble mixture from ``target``.
 
-    Also validates the ensemble shape: every term must be a full product of
-    normalized single-qubit kets with weight >= -1e-14. The deviation is
-    returned unconditionally, so perturbed weights show up as a nonzero
-    residual rather than an error.
+    Also validates the ensemble: every weight must be >= -1e-14, every
+    factor normalized, and ``target`` an operator on the ensemble's qubits.
+    The deviation is returned unconditionally, so perturbed weights show up
+    as a nonzero residual rather than an error.
     """
     target = np.asarray(target, dtype=complex)
-    for weight, factors in e.terms:
-        if weight < -1e-14:
-            raise ValueError(f"negative ensemble weight {weight}")
-        if len(factors) != e.n_qubits:
-            raise ValueError("term is not a full product over the qubits")
-        if any(np.shape(f) != (2,) for f in factors):
-            raise ValueError("ensemble factors must be single-qubit kets")
-    factors = _stacked_factors(e)
-    norms = (factors.real**2 + factors.imag**2).sum(axis=-1)
+    dim = 1 << e.n_qubits
+    if target.shape != (dim, dim):
+        raise ValueError(f"target has shape {target.shape}, not ({dim}, {dim})")
+    if (e.weights < -1e-14).any():
+        raise ValueError(f"negative ensemble weight {e.weights.min()}")
+    norms = (e.factors.real**2 + e.factors.imag**2).sum(axis=-1)
     if (np.abs(norms - 1.0) > tensor.NORM_ATOL).any():
         raise ValueError("ensemble factor is not normalized")
-    return float(np.abs(_mixture(e, factors) - target).max())
+    return float(np.abs(ensemble_density(e) - target).max())

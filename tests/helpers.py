@@ -10,6 +10,7 @@ from sepkit import (
     classify_family,
     family_density,
     filter_operator,
+    ghz_ket,
     pt_positive_analytic,
     random_weights,
 )
@@ -28,6 +29,13 @@ def basis_ket(n: int, j: int) -> np.ndarray:
     v = np.zeros(1 << n, dtype=complex)
     v[j] = 1.0
     return v
+
+
+def density_of(psi) -> np.ndarray:
+    """Rank-one density operator |psi><psi| of a normalized ket."""
+    v = np.asarray(psi, dtype=complex).reshape(-1)
+    tensor.n_qubits_of(v.shape[0])
+    return np.outer(v, v.conj())
 
 
 def random_density(n, rng):
@@ -232,11 +240,22 @@ def reference_ensemble_density(e):
     """Mixture of the ensemble's product states, term by term via np.kron."""
     dim = 1 << e.n_qubits
     rho = np.zeros((dim, dim), dtype=complex)
-    for weight, factors in e.terms:
+    for weight, factors in zip(e.weights, e.factors):
         psi = factors[0]
         for f in factors[1:]:
             psi = np.kron(psi, f)
         rho += weight * np.outer(psi, psi.conj())
+    return rho
+
+
+def reference_rho_hat_density(hw):
+    """rho_hat as a loop over the eight dense GHZ projectors, each added in place."""
+    w = hw.base
+    rho = w.lambda0_plus * density_of(ghz_ket(3, 0, +1))
+    rho += w.lambda0_minus * density_of(ghz_ket(3, 0, -1))
+    for j in range(1, 4):
+        rho += hw.hat_plus[j - 1] * density_of(ghz_ket(3, j, +1))
+        rho += hw.hat_minus[j - 1] * density_of(ghz_ket(3, j, -1))
     return rho
 
 

@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     BELL_PHI_PLUS,
     KET_PLUS,
+    density_of,
     project_qubit,
     random_class5_weights,
     weights_max_diff,
@@ -33,7 +34,6 @@ from sepkit import (
     ghz_ket,
     minimal_m,
     pair_fidelity_after_projection,
-    phi_product_factors,
     pt_positive_analytic,
     random_weights,
     rho_hat_density,
@@ -42,6 +42,7 @@ from sepkit import (
 )
 from sepkit import tensor
 from sepkit.cli import main
+from sepkit.witness import KETS
 
 REPO = Path(__file__).resolve().parent.parent
 STATES = REPO / "cli_examples" / "states"
@@ -160,11 +161,11 @@ def test_criterion_7_separable_ensemble_soundness():
             assert verify_ensemble(ensemble, hat) <= 1e-10
             assert weights_max_diff(depolarize(hat), w) <= 1e-12
         phi_sum = np.zeros((8, 8), dtype=complex)
-        for k in range(4):
-            f = phi_product_factors(k)
+        for pattern in (0, 3, 5, 6):  # minus factors where the bits are set, an even number
+            f = [KETS[2 + ((pattern >> (2 - q)) & 1)] for q in range(3)]
             psi = np.kron(np.kron(f[0], f[1]), f[2])
             phi_sum += np.outer(psi, psi.conj())
-        ghz_sum = sum(tensor.density_of(ghz_ket(3, j, 1)) for j in range(4))
+        ghz_sum = sum(density_of(ghz_ket(3, j, 1)) for j in range(4))
         assert np.abs(phi_sum - ghz_sum).max() <= 1e-14
 
 

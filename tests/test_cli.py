@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -6,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import basis_ket
-from sepkit import ghz_ket, werner_like
+from helpers import basis_ket, density_of
+from sepkit import family_density, ghz_ket, werner_like
 from sepkit import tensor
-from sepkit.cli import main
+from sepkit.cli import build_parser, main
 
 STATES = Path(__file__).resolve().parent.parent / "cli_examples" / "states"
 
@@ -103,7 +104,7 @@ def test_classify_weights_file(capsys, tmp_path):
 
 
 def test_classify_matrix_input_is_depolarized(capsys, tmp_path):
-    rho = tensor.density_of(ghz_ket(3, 0, 1))
+    rho = density_of(ghz_ket(3, 0, 1))
     path = write_matrix(tmp_path / "m.json", rho, 3)
     code, doc, _ = run_json(capsys, "classify", "--input", path)
     assert code == 0
@@ -118,11 +119,45 @@ def test_classify_rejects_bad_input(capsys, tmp_path):
     assert code == 2
     assert err.startswith("sepkit:")
 
-    rho = tensor.density_of(ghz_ket(3, 0, 1)).copy()
+    rho = density_of(ghz_ket(3, 0, 1)).copy()
     rho[0, 1] = 0.3  # not Hermitian
     path = write_matrix(tmp_path / "bad.json", rho, 3)
     code, out, err = run(capsys, "classify", "--input", path)
     assert code == 2
+
+
+def test_matrix_that_is_not_a_state_exits_2_on_every_input_command(capsys, tmp_path):
+    rho = family_density(werner_like(3, 0.3))
+    rho[1, 2] = rho[2, 1] = 0.5  # Hermitian, trace 1, smallest eigenvalue -0.4125
+    path = write_matrix(tmp_path / "probe.json", rho, 3)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    with_input = [
+        name for name, p in sub.choices.items() if any("--input" in a.option_strings for a in p._actions)
+    ]
+    assert sorted(with_input) == ["classify", "depolarize", "distill", "witness"]
+    extra = {"distill": ["--pair", "B,C"]}
+    for command in with_input:
+        for fmt in ("--json", "--text"):
+            code, out, err = run(capsys, command, "--input", path, fmt, *extra.get(command, []))
+            assert (code, out) == (2, ""), command
+            assert err == (
+                "sepkit: invalid density matrix: not positive semidefinite: "
+                "smallest eigenvalue -0.4125\n"
+            )
+
+
+def test_states_of_every_rank_pass_on_matrix_input(capsys, tmp_path):
+    rng = np.random.default_rng(617)
+    paths = [str(STATES / "ghz_matrix.json")]
+    for rank in range(1, 9):
+        g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+        rho = g @ g.conj().T
+        paths.append(write_matrix(tmp_path / f"rank{rank}.json", rho / rho.trace().real, 3))
+    for path in paths:
+        for command in ("classify", "depolarize", "witness"):
+            code, doc, err = run_json(capsys, command, "--input", path)
+            assert code == 0, (path, command, err)
+            assert doc["depolarized"] is True
 
 
 @pytest.mark.parametrize(
@@ -221,7 +256,7 @@ def test_tol_only_on_witness(capsys, tmp_path):
 
 
 def test_depolarize_matrix(capsys, tmp_path):
-    path = write_matrix(tmp_path / "m.json", tensor.density_of(basis_ket(3, 0)), 3)
+    path = write_matrix(tmp_path / "m.json", density_of(basis_ket(3, 0)), 3)
     code, doc, _ = run_json(capsys, "depolarize", "--input", path)
     assert code == 0
     assert doc["weights"]["lambda0_plus"] == pytest.approx(0.5, abs=1e-14)
@@ -373,7 +408,7 @@ def test_witness_refuses_ensemble_outside_class5(capsys, tmp_path):
 
 
 def test_witness_pure_ghz_certificate_negative(capsys, tmp_path):
-    path = write_matrix(tmp_path / "m.json", tensor.density_of(ghz_ket(3, 0, 1)), 3)
+    path = write_matrix(tmp_path / "m.json", density_of(ghz_ket(3, 0, 1)), 3)
     code, doc, _ = run_json(capsys, "witness", "--input", path)
     assert code == 0
     assert doc["rho_tilde"]["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-12)

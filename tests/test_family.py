@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import basis_ket, permute_qubits, random_density, weights_max_diff
+from helpers import basis_ket, density_of, permute_qubits, random_density, weights_max_diff
 from sepkit import (
     GhzWeights,
     depolarize,
@@ -61,7 +61,7 @@ def test_ghz_ket_validation():
 
 def test_family_density_pure_ghz():
     w = GhzWeights(3, 1.0, 0.0, (0.0, 0.0, 0.0))
-    np.testing.assert_allclose(family_density(w), tensor.density_of(ghz_ket(3, 0, 1)))
+    np.testing.assert_allclose(family_density(w), density_of(ghz_ket(3, 0, 1)))
 
 
 def test_family_density_uniform_is_maximally_mixed():
@@ -75,11 +75,11 @@ def test_family_density_corner_coherence_and_projector_sum():
         w = random_weights(3, rng)
         rho = family_density(w)
         assert rho[0, 7].real == pytest.approx(w.delta / 2, abs=1e-15)
-        acc = w.lambda0_plus * tensor.density_of(ghz_ket(3, 0, 1))
-        acc = acc + w.lambda0_minus * tensor.density_of(ghz_ket(3, 0, -1))
+        acc = w.lambda0_plus * density_of(ghz_ket(3, 0, 1))
+        acc = acc + w.lambda0_minus * density_of(ghz_ket(3, 0, -1))
         for j in (1, 2, 3):
             for s in (1, -1):
-                acc = acc + w.lam(j) * tensor.density_of(ghz_ket(3, j, s))
+                acc = acc + w.lam(j) * density_of(ghz_ket(3, j, s))
         np.testing.assert_allclose(rho, acc, atol=1e-14)
 
 
@@ -95,14 +95,14 @@ def test_depolarize_fixed_point_and_round_trip():
 
 
 def test_depolarize_pure_ghz_projector():
-    w = depolarize(tensor.density_of(ghz_ket(3, 0, 1)))
+    w = depolarize(density_of(ghz_ket(3, 0, 1)))
     assert w.lambda0_plus == pytest.approx(1.0, abs=1e-14)
     assert w.lambda0_minus == pytest.approx(0.0, abs=1e-14)
     assert max(w.lambdas) <= 1e-14
 
 
 def test_depolarize_all_zeros_state():
-    w = depolarize(tensor.density_of(basis_ket(3, 0)))
+    w = depolarize(density_of(basis_ket(3, 0)))
     assert w.lambda0_plus == pytest.approx(0.5, abs=1e-14)
     assert w.lambda0_minus == pytest.approx(0.5, abs=1e-14)
     assert max(w.lambdas) <= 1e-14
@@ -183,7 +183,7 @@ def test_werner_matches_dense_depolarization(n):
     for x in (0.0, 0.3, 0.77, 1.0, float(rng.uniform())):
         w = werner_like(n, x)
         dim = 1 << n
-        dense = x * tensor.density_of(ghz_ket(n, 0, 1)) + (1 - x) / dim * np.eye(dim)
+        dense = x * density_of(ghz_ket(n, 0, 1)) + (1 - x) / dim * np.eye(dim)
         assert weights_max_diff(depolarize(dense), w) <= 1e-12
 
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,22 @@ def assert_reprs(values):
     assert not bad, f"{len(bad)} differ, e.g. {bad[:5]}"
 
 
+def assert_same_text(got: str, want: str):
+    """``got == want``; a mismatch fails at once, naming the first differing offset.
+
+    pytest's own diff of two long strings is slow enough to stall a
+    hypothesis test for minutes while it shrinks, so it is never asked for.
+    """
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(
+            f"texts of {len(got)} and {len(want)} chars differ from offset {at}: "
+            f"{got[window]!r} != {want[window]!r}",
+            pytrace=False,
+        )
+
+
 def finite(x: np.ndarray) -> np.ndarray:
     return x[np.isfinite(x)]
 
@@ -46,7 +63,8 @@ def test_kernel_matches_repr_on_any_double(x, others):
     long = ([x] + others) * (stateio._KERNEL_MIN // (1 + len(others)) + 1)
     assert len(long) >= stateio._KERNEL_MIN
     assert_reprs(long)
-    assert stateio.dump_report({"v": np.array(long)}) == json.dumps({"v": long}, indent=2) + "\n"
+    want = json.dumps({"v": long}, indent=2) + "\n"
+    assert_same_text(stateio.dump_report({"v": np.array(long)}), want)
 
 
 def test_kernel_matches_repr_on_edge_values():

@@ -2,8 +2,9 @@
 
 Documents are drawn around valid ones (weights and matrices on 2..4 qubits)
 and then broken: wrong lengths and nested lists in ``lambdas``, booleans,
-huge integers, rational strings, negative weights beyond the clamp, missing
-or extra ``weights``/``matrix``, and JSON that is not an object. Each one is
+huge integers, rational strings, negative weights beyond the clamp,
+Hermitian unit-trace matrices with a negative eigenvalue, missing or extra
+``weights``/``matrix``, and JSON that is not an object. Each one is
 parsed by ``stateio.load_state`` and run through ``cli.main`` on classify,
 depolarize and witness.
 """
@@ -13,6 +14,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,10 +56,27 @@ def weights(draw, n):
 
 
 @st.composite
-def matrix(draw, n):
-    """A dense matrix of n qubits: maximally mixed, a symmetric draw, or ragged."""
+def indefinite(draw, n):
+    """A Hermitian unit-trace matrix of n qubits with one eigenvalue -low, and low."""
     dim = 1 << n
-    kind = draw(st.sampled_from(["mixed", "symmetric", "ragged", "no-re"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.floats(1e-8, 0.5))
+    spectrum = rng.uniform(0.0, 1.0, dim)
+    spectrum[1:] *= (1.0 + low) / spectrum[1:].sum()
+    spectrum[0] = -low
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rho = (q * spectrum) @ q.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return {"re": rho.real.tolist(), "im": rho.imag.tolist()}, low
+
+
+@st.composite
+def matrix(draw, n):
+    """A dense matrix of n qubits: maximally mixed, a symmetric draw, indefinite, or ragged."""
+    dim = 1 << n
+    kind = draw(st.sampled_from(["mixed", "symmetric", "indefinite", "ragged", "no-re"]))
+    if kind == "indefinite":
+        return draw(indefinite(n))[0]
     if kind == "mixed":
         return {"re": (np.eye(dim) / dim).tolist()}
     if kind == "symmetric":
@@ -136,3 +155,17 @@ def test_fuzzed_documents_end_in_report_or_one_line(doc, tmp_path_factory):
             assert code == 2
             assert out == ""
             assert err.startswith("sepkit: ") and err.count("\n") == 1
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from([2, 3, 4]), data=st.data())
+def test_matrices_with_a_negative_eigenvalue_get_one_line(n, data, tmp_path_factory):
+    matrix_doc, low = data.draw(indefinite(n))
+    path = tmp_path_factory.getbasetemp() / "indefinite-state.json"
+    path.write_text(json.dumps({"n_qubits": n, "matrix": matrix_doc}), encoding="utf-8")
+    for argv in (["classify"], ["depolarize"], ["witness"], ["distill", "--pair", "A,B"]):
+        code, out, err = run([argv[0], "--input", str(path), *argv[1:]])
+        assert (code, out) == (2, "")
+        assert err.startswith("sepkit: invalid density matrix: not positive semidefinite: ")
+        assert err.count("\n") == 1
+        assert float(err.rsplit(" ", 1)[1]) == pytest.approx(-low, rel=1e-5)  # printed to 6 digits

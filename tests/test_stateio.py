@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepkit import classify_family, family_density, ghz_ket, pt_positive_analytic
+from sepkit import classify_family, family_density, pt_positive_analytic
 from sepkit import random_weights, werner_like
 from sepkit import _floatfmt, stateio, witness
 from sepkit.cli import build_parser, main
@@ -350,12 +350,6 @@ def test_weights_dict_holds_the_read_only_array(n):
         assert stateio.dump_report(report, precision) == dumps_indent2(listed, precision)
         assert not w.lambdas.flags.writeable
         assert np.array_equal(w.lambdas, kept)
-
-
-def test_ket_as_pairs():
-    pairs = stateio.ket_as_pairs(ghz_ket(2, 0, -1))
-    assert pairs[0] == [pytest.approx(1 / np.sqrt(2)), 0.0]
-    assert pairs[3] == [pytest.approx(-1 / np.sqrt(2)), 0.0]
 
 
 @st.composite

@@ -6,6 +6,7 @@ from helpers import (
     KET_PLUS,
     basis_ket,
     brute_permutation_unitary,
+    density_of,
     partial_trace,
     permute_qubits,
     project_qubit,
@@ -132,16 +133,16 @@ def test_is_ppt_real_path_matches_complex_path():
 
 
 def test_project_qubit_product_state():
-    rho = tensor.density_of(basis_ket(2, 0))
+    rho = density_of(basis_ket(2, 0))
     reduced, prob = project_qubit(rho, 0, basis_ket(1, 0))
-    np.testing.assert_allclose(reduced, tensor.density_of(basis_ket(1, 0)))
+    np.testing.assert_allclose(reduced, density_of(basis_ket(1, 0)))
     assert prob == pytest.approx(1.0)
 
 
 def test_project_qubit_ghz_on_plus_gives_bell():
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = np.sqrt(0.5)
-    reduced, prob = project_qubit(tensor.density_of(ghz), 0, KET_PLUS)
+    reduced, prob = project_qubit(density_of(ghz), 0, KET_PLUS)
     np.testing.assert_allclose(
         reduced, np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()), atol=1e-14
     )
@@ -151,8 +152,8 @@ def test_project_qubit_ghz_on_plus_gives_bell():
 def test_project_qubit_ghz_on_zero_selects_branch():
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = np.sqrt(0.5)
-    reduced, prob = project_qubit(tensor.density_of(ghz), 0, basis_ket(1, 0))
-    np.testing.assert_allclose(reduced, tensor.density_of(basis_ket(2, 0)), atol=1e-14)
+    reduced, prob = project_qubit(density_of(ghz), 0, basis_ket(1, 0))
+    np.testing.assert_allclose(reduced, density_of(basis_ket(2, 0)), atol=1e-14)
     assert abs(prob - 0.5) <= 1e-14
 
 
@@ -166,7 +167,7 @@ def test_project_qubit_probabilities_sum_to_one():
 
 
 def test_project_qubit_degenerate_outcome():
-    rho = tensor.density_of(basis_ket(2, 3))
+    rho = density_of(basis_ket(2, 3))
     with pytest.raises(tensor.DegenerateOutcomeError):
         project_qubit(rho, 0, basis_ket(1, 0))
 
@@ -203,3 +204,31 @@ def test_mask_helpers():
     assert tensor.complement(0b100, 3) == 0b011
     with pytest.raises(ValueError):
         tensor.qubits_to_mask((3,), 3)
+
+
+def test_check_density_accepts_states_of_every_rank():
+    rng = np.random.default_rng(613)
+    for n in (2, 3, 4):
+        dim = 1 << n
+        for rank in range(1, dim + 1):
+            g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            rho = g @ g.conj().T
+            assert tensor.check_density(rho / rho.trace().real) == n
+
+
+def test_check_density_rejects_negative_eigenvalues():
+    rho = family_density(werner_like(3, 0.3))
+    rho[1, 2] = rho[2, 1] = 0.5  # Hermitian, trace 1, smallest eigenvalue -0.4125
+    with pytest.raises(ValueError, match=r"not positive semidefinite: smallest eigenvalue -0\.4125$"):
+        tensor.check_density(rho)
+
+
+def test_check_density_positivity_margin():
+    atol = tensor.DENSITY_ATOL
+    for low, ok in ((-atol / 2, True), (-atol, True), (-2 * atol, False), (-1e-3, False)):
+        rho = np.diag([0.5 - low, 0.5, low, 0.0])
+        if ok:
+            assert tensor.check_density(rho) == 2
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                tensor.check_density(rho)

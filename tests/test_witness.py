@@ -3,8 +3,10 @@ import pytest
 
 from helpers import (
     basis_ket,
+    density_of,
     random_class5_weights,
     reference_ensemble_density,
+    reference_rho_hat_density,
     weights_max_diff,
 )
 from sepkit import (
@@ -18,13 +20,13 @@ from sepkit import (
     family_density,
     fully_separable_ensemble,
     ghz_ket,
-    phi_product_factors,
     random_weights,
     rho_hat_density,
     verify_ensemble,
     werner_like,
 )
 from sepkit import tensor
+from sepkit.witness import KETS
 
 MASK_FIRST_QUBIT = 0b100
 
@@ -39,8 +41,8 @@ def test_rho_tilde_matches_projector_construction():
     for _ in range(5):
         w = random_weights(3, rng)
         direct = build_rho_tilde(w)
-        p2p = tensor.density_of(ghz_ket(3, 2, 1))
-        p2m = tensor.density_of(ghz_ket(3, 2, -1))
+        p2p = density_of(ghz_ket(3, 2, 1))
+        p2m = density_of(ghz_ket(3, 2, -1))
         expected = family_density(w) + (w.delta / 2) * (p2p - p2m)
         np.testing.assert_allclose(direct, expected, atol=1e-15)
 
@@ -108,30 +110,30 @@ def test_rho_hat_depolarizes_back():
 
 def test_phi_identity():
     phi_sum = np.zeros((8, 8), dtype=complex)
-    for k in range(4):
-        f = phi_product_factors(k)
+    for pattern in (0, 3, 5, 6):  # minus factors where the bits are set, an even number
+        f = [KETS[2 + ((pattern >> (2 - q)) & 1)] for q in range(3)]
         psi = np.kron(np.kron(f[0], f[1]), f[2])
         phi_sum += np.outer(psi, psi.conj())
-    ghz_sum = sum(tensor.density_of(ghz_ket(3, j, 1)) for j in range(4))
+    ghz_sum = sum(density_of(ghz_ket(3, j, 1)) for j in range(4))
     assert np.abs(phi_sum - ghz_sum).max() <= 1e-14
 
 
 def test_ensemble_werner_example_terms():
     ens = fully_separable_ensemble(werner_like(3, 0.2))
-    assert len(ens.terms) == 6
-    weights = [t[0] for t in ens.terms]
+    assert len(ens.weights) == 6
+    weights = ens.weights.tolist()
     assert weights[:2] == pytest.approx([0.1, 0.1], abs=1e-15)
     assert weights[2:] == pytest.approx([0.2] * 4, abs=1e-15)
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
     # first two terms are |000> and |111>
     np.testing.assert_allclose(
-        ensemble_density(SeparableEnsemble(3, ens.terms[:1])) * 10,
-        tensor.density_of(basis_ket(3, 0)),
+        ensemble_density(SeparableEnsemble(ens.weights[:1], ens.factors[:1])) * 10,
+        density_of(basis_ket(3, 0)),
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        ensemble_density(SeparableEnsemble(3, ens.terms[1:2])) * 10,
-        tensor.density_of(basis_ket(3, 7)),
+        ensemble_density(SeparableEnsemble(ens.weights[1:2], ens.factors[1:2])) * 10,
+        density_of(basis_ket(3, 7)),
         atol=1e-14,
     )
 
@@ -148,7 +150,7 @@ def test_ensemble_reconstructs_rho_hat():
 def test_ensemble_delta_zero_is_computational_mixture():
     w = GhzWeights(3, 1 / 8, 1 / 8, (1 / 8, 1 / 8, 1 / 8))
     ens = fully_separable_ensemble(w)
-    assert len(ens.terms) == 8  # no +- basis terms needed
+    assert len(ens.weights) == 8  # no +- basis terms needed
     np.testing.assert_allclose(ensemble_density(ens), np.eye(8) / 8, atol=1e-14)
 
 
@@ -158,26 +160,30 @@ def test_ensemble_refused_outside_class5():
 
 
 def test_verify_ensemble_trivial_and_sensitivity():
-    term = (1.0, tuple(basis_ket(1, 0) for _ in range(3)))
-    ens = SeparableEnsemble(3, (term,))
-    target = tensor.density_of(basis_ket(3, 0))
+    factors = [[basis_ket(1, 0)] * 3]
+    ens = SeparableEnsemble([1.0], factors)
+    target = density_of(basis_ket(3, 0))
     assert verify_ensemble(ens, target) == 0.0
 
-    bumped = SeparableEnsemble(3, ((1.0 + 1e-3, term[1]),))
+    bumped = SeparableEnsemble([1.0 + 1e-3], factors)
     assert verify_ensemble(bumped, target) >= 1e-4
 
 
-def test_ensemble_density_bit_identical_to_kron_reference():
-    draws = random_class5_weights(np.random.default_rng(211), 200) + [
+def bit_identity_draws():
+    """200 seeded class-5 trios, werner_like(3, 0.2), and two trios with zero weights."""
+    return random_class5_weights(np.random.default_rng(211), 200) + [
         werner_like(3, 0.2),
         GhzWeights(3, 0.5, 0.5, (0.0, 0.0, 0.0)),
         GhzWeights(3, 0.25, 0.0, (0.125, 0.125, 0.125)),
     ]
-    for w in draws:
+
+
+def test_ensemble_density_bit_identical_to_kron_reference():
+    for w in bit_identity_draws():
         ens = fully_separable_ensemble(w)
         # the same terms with every third weight zeroed
         zeroed = SeparableEnsemble(
-            3, tuple((0.0 if t % 3 == 0 else wt, f) for t, (wt, f) in enumerate(ens.terms))
+            np.where(np.arange(len(ens.weights)) % 3 == 0, 0.0, ens.weights), ens.factors
         )
         for e in (ens, zeroed):
             assert np.array_equal(ensemble_density(e), reference_ensemble_density(e))
@@ -185,35 +191,71 @@ def test_ensemble_density_bit_identical_to_kron_reference():
         assert verify_ensemble(ens, hat) == np.abs(reference_ensemble_density(ens) - hat).max()
 
 
+def test_rho_hat_density_bit_identical_to_dense_loop():
+    for w in bit_identity_draws():
+        hw = build_rho_hat(w)
+        assert np.array_equal(rho_hat_density(hw), reference_rho_hat_density(hw))
+
+
 def test_empty_ensemble_is_the_zero_matrix():
-    empty = SeparableEnsemble(3, ())
+    empty = SeparableEnsemble(np.zeros(0), np.zeros((0, 3, 2)))
     assert np.array_equal(ensemble_density(empty), np.zeros((8, 8)))
     target = family_density(werner_like(3, 0.3))
     assert verify_ensemble(empty, target) == np.abs(target).max()
 
 
 def test_verify_ensemble_rejects_malformed():
-    good = tuple(basis_ket(1, 0) for _ in range(3))
+    good = [basis_ket(1, 0)] * 3
     target = np.eye(8, dtype=complex) / 8
     with pytest.raises(ValueError):
-        verify_ensemble(SeparableEnsemble(3, ((-0.5, good),)), target)
+        verify_ensemble(SeparableEnsemble([-0.5], [good]), target)
+    with pytest.raises(ValueError):  # a product over two qubits, not three
+        verify_ensemble(SeparableEnsemble([1.0], [good[:2]]), target)
     with pytest.raises(ValueError):
-        verify_ensemble(SeparableEnsemble(3, ((1.0, good[:2]),)), target)
-    with pytest.raises(ValueError):
-        verify_ensemble(
-            SeparableEnsemble(3, ((1.0, (np.array([1.0, 1.0]),) + good[:2]),)), target
-        )
-    with pytest.raises(ValueError):
-        verify_ensemble(
-            SeparableEnsemble(3, ((1.0, (basis_ket(2, 0),) + good[:2]),)), target
-        )
+        verify_ensemble(SeparableEnsemble([1.0], [[np.array([1.0, 1.0])] + good[:2]]), target)
+
+
+def test_verify_ensemble_rejects_target_of_wrong_shape():
+    ens = fully_separable_ensemble(werner_like(3, 0.2))
+    for target in (np.zeros(8), 0.0, np.eye(8)[:1], np.eye(16) / 16):
+        with pytest.raises(ValueError, match="target has shape"):
+            verify_ensemble(ens, target)
+
+
+def test_separable_ensemble_rejects_other_shapes():
+    good = [basis_ket(1, 0)] * 3
+    for weights, factors in (
+        ([1.0], [[basis_ket(2, 0)] + good[:2]]),  # ragged: a two-qubit factor
+        ([1.0, 1.0], [good[:2], good]),  # ragged: terms over different qubit counts
+        ([1.0], [basis_ket(3, 0)]),  # a full ket, not a product
+        ([1.0], [[basis_ket(2, 0)] * 3]),  # dim-4 factors
+        ([1.0, 0.0], [good]),  # two weights, one term
+        ([[1.0]], [good]),  # weights not 1-d
+        ([1.0], np.zeros((1, 0, 2))),  # no qubits
+    ):
+        with pytest.raises(ValueError):
+            SeparableEnsemble(weights, factors)
+
+
+def test_separable_ensemble_arrays_are_read_only_copies():
+    weights, factors = np.array([1.0]), np.array([[basis_ket(1, 0)] * 3])
+    ens = SeparableEnsemble(weights, factors)
+    assert ens.n_qubits == 3
+    assert ens.weights.shape == (1,) and ens.factors.shape == (1, 3, 2)
+    for a in (ens.weights, ens.factors):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    weights[0] = 0.5  # the caller's arrays stay writable and are not shared
+    assert ens.weights[0] == 1.0
+    assert fully_separable_ensemble(werner_like(3, 0.2)).factors.flags.writeable is False
 
 
 def test_ensemble_factors_are_normalized_products():
     rng = np.random.default_rng(97)
     for w in random_class5_weights(rng, 5):
         ens = fully_separable_ensemble(w)
-        for weight, factors in ens.terms:
+        for weight, factors in zip(ens.weights, ens.factors):
             assert weight >= 0.0
             assert len(factors) == 3
             for f in factors:
