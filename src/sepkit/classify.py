@@ -132,8 +132,7 @@ def classify_family(w: GhzWeights) -> ClassReport:
     singles = {tensor.qubits_to_mask((q,), n): q in bisep for q in range(n)}
     columns = _columns(w)
     pairs = frozenset((i, k) for i, k in combinations(range(n), 2) if columns[i] == columns[k])
-    class3 = None
-    hint = None
+    class3 = hint = None
     if n == 3:
         class3 = {0: 1, 1: 2, 2: 3, 3: 5}[len(bisep)]
         if class3 == 3:

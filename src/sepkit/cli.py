@@ -36,19 +36,16 @@ DEPOLARIZED_NOTE = (
 
 
 def _load(args, command: str, tolerance: float) -> tuple[GhzWeights, dict]:
-    """Load the input state, depolarizing a matrix, and the shared report header."""
+    """The input state's family weights and the shared report header."""
     state = stateio.load_state(args.input)
-    depolarized = state.weights is None
-    w = depolarize(state.matrix) if depolarized else state.weights
-    header = {
+    return state.weights, {
         "tool_version": __version__,
         "command": command,
         "tolerance": tolerance,
-        "n_qubits": w.n_qubits,
-        "depolarized": depolarized,
+        "n_qubits": state.weights.n_qubits,
+        "depolarized": state.depolarized,
         "input_notes": list(state.notes),
     }
-    return w, header
 
 
 def _pair_labels(pair) -> list[str]:

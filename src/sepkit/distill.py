@@ -162,8 +162,6 @@ def dense_filter_oracle(w: GhzWeights, m: int) -> tuple[np.ndarray, float]:
     diagonal = np.zeros(8**m, dtype=complex)
     diagonal[(idx[0] << 2 * m | idx[1] << m | idx[2])[on_diagonal]] += val[on_diagonal]
     prob = diagonal.sum().real
-    if prob < tensor.DEGENERATE_PROBABILITY:
-        raise tensor.DegenerateOutcomeError("filter success probability is zero")
     kept = idx >> (m - 1)
     trio = np.zeros((8, 8), dtype=complex)
     trio[kept[0] << 2 | kept[1] << 1 | kept[2], kept[3] << 2 | kept[4] << 1 | kept[5]] += val

@@ -110,7 +110,7 @@ class GhzWeights:
         return float(self.lambdas[j - 1])
 
     def total(self) -> float:
-        # the pair weights added left to right: depolarize prints this rounding
+        # the pair weights added left to right: the sum depolarize divides by
         return self.lambda0_plus + self.lambda0_minus + 2.0 * _left_sum(self.lambdas)
 
 
@@ -153,15 +153,19 @@ def family_density(w: GhzWeights) -> np.ndarray:
 def depolarize(rho: np.ndarray) -> GhzWeights:
     """Project a density matrix onto the family.
 
-    ``rho`` must be Hermitian with unit trace within tensor.DENSITY_ATOL.
-    Keeps the GHZ-basis diagonal coefficients: the j = 0 pair weights are
-    <psi_0^+-| rho |psi_0^+->, and each lambda_j is the average of the two
-    j-pair expectations, all divided by their sum. When the raw
-    coefficients give delta < 0 the two j = 0 weights are swapped and
-    ``basis_flipped`` is set.
+    ``rho`` must be Hermitian, positive semidefinite and of unit trace
+    within tensor.DENSITY_ATOL. Keeps the GHZ-basis diagonal coefficients:
+    the j = 0 pair weights are <psi_0^+-| rho |psi_0^+->, and each lambda_j
+    is the average of the two j-pair expectations, all divided by their
+    sum. When the raw coefficients give delta < 0 the two j = 0 weights are
+    swapped and ``basis_flipped`` is set.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = tensor.check_density(rho)
+    return _project(rho, tensor.check_density(rho))
+
+
+def _project(rho: np.ndarray, n: int) -> GhzWeights:
+    """`depolarize` of a complex n-qubit ``rho`` that is already checked."""
     dim = 1 << n
     diag = rho.diagonal().real
     block = (diag[0] + diag[dim - 1]) / 2.0
@@ -207,9 +211,7 @@ def werner_like(n: int, x: float) -> GhzWeights:
 def random_weights(n: int, rng: np.random.Generator) -> GhzWeights:
     """Draw weights uniformly on the probability simplex, then canonicalize."""
     masses = rng.dirichlet(np.ones((1 << (n - 1)) + 1))
-    l0p, l0m = float(masses[0]), float(masses[1])
-    if l0p < l0m:
-        l0p, l0m = l0m, l0p
+    l0m, l0p = sorted(map(float, masses[:2]))
     return GhzWeights(
         n_qubits=n,
         lambda0_plus=l0p,

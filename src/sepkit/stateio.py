@@ -9,8 +9,8 @@ A state file is a JSON document with ``n_qubits`` and exactly one of:
   so exact rational ties delta == 2 * lambda_j read as ties;
 * ``matrix``: ``{"re": [[...]], "im": [[...]]}`` of JSON numbers (booleans
   and strings are rejected), row-major with qubit 0 as the most
-  significant index bit. Matrices must be Hermitian with unit
-  trace within ``tensor.DENSITY_ATOL``.
+  significant index bit. Matrices must be Hermitian, positive semidefinite
+  and of unit trace within ``tensor.DENSITY_ATOL``.
 
 Reports are JSON objects with a fixed key order, a ``tool_version`` field,
 and newline-terminated output: the text of ``json.dumps(report, indent=2,
@@ -40,7 +40,7 @@ from itertools import chain
 import numpy as np
 
 from . import tensor
-from .family import GhzWeights
+from .family import GhzWeights, _project
 
 
 class StateFileError(ValueError):
@@ -49,8 +49,8 @@ class StateFileError(ValueError):
 
 @dataclass
 class StateInput:
-    weights: GhzWeights | None
-    matrix: np.ndarray | None
+    weights: GhzWeights
+    depolarized: bool
     notes: tuple[str, ...]
 
 
@@ -159,7 +159,7 @@ def _parse_weights(n: int, raw: dict, notes: list[str]) -> GhzWeights:
         raise StateFileError(f"invalid weights: {exc}") from exc
 
 
-def _parse_matrix(n: int, raw: dict, notes: list[str]) -> np.ndarray:
+def _parse_matrix(n: int, raw: dict, notes: list[str]) -> GhzWeights:
     if not isinstance(raw, dict) or "re" not in raw:
         raise StateFileError("matrix must be an object with fields re (and im)")
     try:
@@ -185,14 +185,18 @@ def _parse_matrix(n: int, raw: dict, notes: list[str]) -> np.ndarray:
         tensor.check_density(rho)
     except ValueError as exc:
         raise StateFileError(f"invalid density matrix: {exc}") from exc
-    tr = rho.trace().real
+    tr = float(rho.trace().real)
     if tr != 1.0:
         rho = rho / tr
         notes.append(f"matrix trace {tr!r} renormalized to 1")
-    return rho
+    try:
+        return _project(rho, n)
+    except ValueError as exc:  # a weight negative beyond GhzWeights' clamp
+        raise StateFileError(str(exc)) from exc
 
 
 def load_state(path: str) -> StateInput:
+    """The state in ``path`` as family weights: a matrix is checked, then projected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -211,10 +215,8 @@ def load_state(path: str) -> StateInput:
         raise StateFileError("state file must carry exactly one of weights/matrix")
     notes: list[str] = []
     if "weights" in doc:
-        weights = _parse_weights(n, doc["weights"], notes)
-        return StateInput(weights=weights, matrix=None, notes=tuple(notes))
-    matrix = _parse_matrix(n, doc["matrix"], notes)
-    return StateInput(weights=None, matrix=matrix, notes=tuple(notes))
+        return StateInput(_parse_weights(n, doc["weights"], notes), False, tuple(notes))
+    return StateInput(_parse_matrix(n, doc["matrix"], notes), True, tuple(notes))
 
 
 def weights_dict(w: GhzWeights) -> dict:
@@ -242,8 +244,9 @@ def round_floats(obj, sig: int):
     if sig >= 17:  # 17 digits keep every double exact: nothing to round
         return obj
     if isinstance(obj, np.ndarray):
-        listed = round_floats(obj.tolist(), sig)
-        return np.array(listed) if obj.ndim == 1 and obj.dtype == np.float64 else listed
+        if obj.ndim == 1 and obj.dtype == np.float64:  # one pass, no call per value
+            return np.array([float(f"{x:.{sig}g}") for x in obj.tolist()])
+        return round_floats(obj.tolist(), sig)
     if isinstance(obj, float):
         return float(f"{obj:.{sig}g}")
     if isinstance(obj, dict):

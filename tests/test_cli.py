@@ -146,6 +146,16 @@ def test_matrix_that_is_not_a_state_exits_2_on_every_input_command(capsys, tmp_p
             )
 
 
+def test_matrix_input_is_checked_once_per_command(capsys, monkeypatch):
+    calls = []
+    check_density = tensor.check_density
+    monkeypatch.setattr(tensor, "check_density", lambda rho: calls.append(1) or check_density(rho))
+    for command in ("classify", "depolarize"):
+        calls.clear()
+        code, _, _ = run(capsys, command, "--input", str(STATES / "ghz_matrix.json"))
+        assert (code, len(calls)) == (0, 1), command
+
+
 def test_states_of_every_rank_pass_on_matrix_input(capsys, tmp_path):
     rng = np.random.default_rng(617)
     paths = [str(STATES / "ghz_matrix.json")]

@@ -155,6 +155,14 @@ def test_dense_oracle_single_copy_and_structure():
     assert np.abs(sigma[~support]).max() <= 1e-14
 
 
+def test_dense_oracle_probability_floor():
+    # 2 (b**m + sum lam_k**m) with b + sum lam_k = 1/2 is least, 8**(1 - m),
+    # where all four bases are 1/8: the probability never nears zero
+    for m in range(1, DENSE_ORACLE_MAX_COPIES + 1):
+        _, prob = dense_filter_oracle(werner_like(3, 0.0), m)
+        assert abs(prob - 8.0 ** (1 - m)) <= 1e-15
+
+
 def test_dense_oracle_rejects_above_cap():
     with pytest.raises(ValueError):
         dense_filter_oracle(werner_like(3, 0.3), DENSE_ORACLE_MAX_COPIES + 1)

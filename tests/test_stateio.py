@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sepkit import classify_family, family_density, pt_positive_analytic
-from sepkit import random_weights, werner_like
+from sepkit import depolarize, random_weights, werner_like
 from sepkit import _floatfmt, stateio, witness
 from sepkit.cli import build_parser, main
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "cli_examples" / "golden"
+STATES = GOLDEN.parent / "states"
 
 
 def write_json(path, doc):
@@ -40,7 +45,7 @@ def matrix_doc(rho, n):
 def test_load_weights_file(tmp_path):
     w = werner_like(3, 0.3)
     state = stateio.load_state(write_json(tmp_path / "s.json", weights_doc(w)))
-    assert state.matrix is None
+    assert state.depolarized is False
     assert state.weights.lambda0_plus == w.lambda0_plus
     assert state.notes == ()
 
@@ -71,18 +76,45 @@ def test_load_weights_with_rationals(tmp_path):
     assert any("rational" in note for note in state.notes)
 
 
+def assert_same_weights(a, b):
+    assert (a.n_qubits, a.lambda0_plus, a.lambda0_minus, a.delta, a.basis_flipped) == (
+        b.n_qubits, b.lambda0_plus, b.lambda0_minus, b.delta, b.basis_flipped
+    )
+    assert np.array_equal(a.lambdas, b.lambdas)
+
+
 def test_load_matrix_file(tmp_path):
     rho = family_density(werner_like(3, 0.4))
     state = stateio.load_state(write_json(tmp_path / "m.json", matrix_doc(rho, 3)))
-    assert state.weights is None
-    np.testing.assert_allclose(state.matrix, rho, atol=1e-15)
+    assert state.depolarized is True
+    assert_same_weights(state.weights, depolarize(rho / rho.trace().real))
 
 
 def test_matrix_trace_renormalized(tmp_path):
     rho = family_density(werner_like(3, 0.4)) * (1 + 5e-10)
     state = stateio.load_state(write_json(tmp_path / "m.json", matrix_doc(rho, 3)))
-    assert abs(state.matrix.trace().real - 1.0) <= 1e-15
-    assert any("renormalized" in note for note in state.notes)
+    assert state.depolarized is True
+    assert_same_weights(state.weights, depolarize(rho / rho.trace().real))
+    assert f"matrix trace {float(rho.trace().real)!r} renormalized to 1" in state.notes
+
+
+def test_no_numpy_type_name_in_goldens_or_notes(tmp_path):
+    rho = family_density(werner_like(3, 0.4)) * (1 - 7e-10)
+    paths = [write_json(tmp_path / "m.json", matrix_doc(rho, 3)), str(STATES / "ghz_matrix.json")]
+    notes = [note for path in paths for note in stateio.load_state(path).notes]
+    assert len(notes) == 2
+    goldens = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN.iterdir())]
+    assert goldens and not any("np.float64(" in text for text in goldens + notes)
+
+
+def test_matrix_weight_negative_beyond_clamp_is_a_state_file_error(tmp_path):
+    # PSD within DENSITY_ATOL, yet lambda_1 is below GhzWeights' clamp
+    diag = np.full(8, 0.125)
+    diag[[2, 5]] = -4e-10
+    diag[0] += 0.25 + 8e-10
+    path = write_json(tmp_path / "m.json", matrix_doc(np.diag(diag).astype(complex), 3))
+    with pytest.raises(stateio.StateFileError, match="^lambda_1 = .* is negative beyond tolerance$"):
+        stateio.load_state(path)
 
 
 @pytest.mark.parametrize(
