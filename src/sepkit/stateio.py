@@ -40,7 +40,7 @@ from itertools import chain
 import numpy as np
 
 from . import tensor
-from .family import GhzWeights, _project
+from .family import NEGATIVE_WEIGHT_CLAMP, GhzWeights, _project
 
 
 class StateFileError(ValueError):
@@ -191,8 +191,12 @@ def _parse_matrix(n: int, raw: dict, notes: list[str]) -> GhzWeights:
         notes.append(f"matrix trace {tr!r} renormalized to 1")
     try:
         return _project(rho, n)
-    except ValueError as exc:  # a weight negative beyond GhzWeights' clamp
-        raise StateFileError(str(exc)) from exc
+    except ValueError as exc:  # a weight below GhzWeights' clamp, which is tighter than the check's
+        weight = str(exc).removesuffix(" is negative beyond tolerance")
+        raise StateFileError(
+            f"invalid density matrix: its projection has {weight}, below the family's "
+            f"{-NEGATIVE_WEIGHT_CLAMP} (the matrix passed the PSD check within {tensor.DENSITY_ATOL})"
+        ) from exc
 
 
 def load_state(path: str) -> StateInput:

@@ -90,6 +90,17 @@ def test_kernel_matches_repr_on_random_bit_patterns():
     assert_reprs(finite(bits.view(np.float64)))
 
 
+def test_layout_switches_between_chunks():
+    """Each chunk picks its own columns: the first needs no prefix, two digit
+    words and no exponent; the second a sign, ``0.000``, three digit words
+    and both exponent signs, and its first value alone three digit words."""
+    first = np.resize([0.5, 3.0], _floatfmt.CHUNK)
+    second = [1.2345678901234567, -0.000123, 0.00045, -2.5, 1e16, -2.5e-07, 1.7976931348623157e308]
+    values = np.concatenate([first, second])
+    for x in (values, values[:_floatfmt.CHUNK + 1]):
+        assert_same_text(_floatfmt.repr_join(x, SEP), SEP.join(map(repr, x.tolist())))
+
+
 def test_non_finite_value_in_a_long_report_list_exits_2(capsys, monkeypatch):
     weights_dict = stateio.weights_dict
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -113,7 +114,9 @@ def test_matrix_weight_negative_beyond_clamp_is_a_state_file_error(tmp_path):
     diag[[2, 5]] = -4e-10
     diag[0] += 0.25 + 8e-10
     path = write_json(tmp_path / "m.json", matrix_doc(np.diag(diag).astype(complex), 3))
-    with pytest.raises(stateio.StateFileError, match="^lambda_1 = .* is negative beyond tolerance$"):
+    want = ("invalid density matrix: its projection has lambda_1 = -4e-10, below the family's -1e-12 "
+            "(the matrix passed the PSD check within 1e-09)")
+    with pytest.raises(stateio.StateFileError, match=f"^{re.escape(want)}$"):
         stateio.load_state(path)
 
 
