@@ -6,7 +6,9 @@ diagnostics to stderr. Exit codes: 0 success, 2 invalid input, 3 requested
 result not applicable (e.g. the pair is not distillable).
 
 Each ``cmd_*`` returns (report, text lines, refusal) and ``main`` alone
-writes them out; a refusal is the reason for exit 3, else None.
+writes them out; a refusal is the reason for exit 3, else None. A command
+imports the classify, distill and witness modules it calls when it runs, so
+a process loads no other.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ import sys
 import numpy as np
 
 from . import __version__, stateio, tensor
-from . import classify as classify_mod
-from . import distill as distill_mod
-from . import witness as witness_mod
 from .family import GhzWeights, depolarize, family_density, permute_weights
 from .stateio import StateFileError, qubit_label
 
@@ -62,6 +61,8 @@ def _yesno(flag: bool) -> str:
 
 
 def cmd_classify(args) -> tuple[dict, list[str], str | None]:
+    from . import classify as classify_mod
+
     w, report = _load(args, "classify", tensor.DEFAULT_PT_TOL)
     rep = classify_mod.classify_family(w)
     n = w.n_qubits
@@ -137,6 +138,8 @@ def cmd_threshold(args) -> tuple[dict, list[str], str | None]:
 
 
 def cmd_distill(args) -> tuple[dict, list[str], str | None]:
+    from . import distill as distill_mod
+
     w, report = _load(args, "distill", tensor.DEFAULT_PT_TOL)
     tokens = args.pair.split(",")
     if len(tokens) != 2:
@@ -195,6 +198,9 @@ def cmd_distill(args) -> tuple[dict, list[str], str | None]:
 
 
 def cmd_witness(args) -> tuple[dict, list[str], str | None]:
+    from . import classify as classify_mod
+    from . import witness as witness_mod
+
     w, report = _load(args, "witness", args.tol)
     rho_tilde = witness_mod.build_rho_tilde(w)
     pt_a = tensor.partial_transpose(rho_tilde, tensor.qubits_to_mask((0,), 3))

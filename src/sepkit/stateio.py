@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-import string
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 
@@ -41,6 +39,13 @@ import numpy as np
 
 from . import tensor
 from .family import NEGATIVE_WEIGHT_CLAMP, GhzWeights, _project
+
+
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# Fraction builds 10**|exponent| exactly: 12 s at an exponent of 10**7. Its
+# mantissa has at most 4,300 digits, so past this bound a rational string is
+# zero or overflows a double anyway.
+_MAX_EXPONENT = 10_000
 
 
 class StateFileError(ValueError):
@@ -55,9 +60,9 @@ class StateInput:
 
 
 def qubit_label(q: int) -> str:
-    if q >= len(string.ascii_uppercase):
+    if q >= len(_LETTERS):
         raise ValueError(f"qubit index {q} has no letter label")
-    return string.ascii_uppercase[q]
+    return _LETTERS[q]
 
 
 def parse_qubit(token: str, n: int) -> int:
@@ -66,8 +71,8 @@ def parse_qubit(token: str, n: int) -> int:
     # str.isdigit and str.upper also accept other scripts: "٢", "³", "ı"
     if token.isascii() and token.isdigit():
         q = int(token)
-    elif token.isascii() and len(token) == 1 and token.upper() in string.ascii_uppercase:
-        q = string.ascii_uppercase.index(token.upper())
+    elif token.isascii() and len(token) == 1 and token.upper() in _LETTERS:
+        q = _LETTERS.index(token.upper())
     else:
         raise StateFileError(f"--pair takes a letter A-Z or a 0-based index, got {token!r}")
     if not 0 <= q < n:
@@ -87,6 +92,17 @@ def _number(value, field: str | int, notes: list[str]) -> float:
     if isinstance(value, (int, float)):
         exact = value
     elif isinstance(value, str):
+        from fractions import Fraction
+
+        _, e, exponent = value.lower().partition("e")
+        try:
+            too_large = e and abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:  # not an exponent, or over 4,300 digits: Fraction refuses it
+            too_large = False
+        if too_large:
+            raise StateFileError(
+                f"{_name(field)}: rational {value!r} has an exponent beyond ±{_MAX_EXPONENT}"
+            )
         try:
             exact = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -122,6 +138,8 @@ def _lambdas(raw: list, notes: list[str]):
 
 
 def _parse_weights(n: int, raw: dict, notes: list[str]) -> GhzWeights:
+    from fractions import Fraction
+
     if not isinstance(raw, dict):
         raise StateFileError("weights must be an object")
     for key in ("lambda0_plus", "lambda0_minus", "lambdas"):
@@ -208,6 +226,8 @@ def load_state(path: str) -> StateInput:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, integer-digit limit
         raise StateFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFileError(f"{path} is not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise StateFileError("state file must be a JSON object")
     if "n_qubits" not in doc:

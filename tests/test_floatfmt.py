@@ -4,7 +4,6 @@ import json
 import math
 import os
 import struct
-import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sepkit
 from sepkit import _floatfmt, stateio
 from sepkit.cli import main
 
@@ -115,12 +113,3 @@ def test_non_finite_value_in_a_long_report_list_exits_2(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "not JSON compliant" in err
-
-
-def test_cli_import_leaves_the_kernel_unloaded():
-    src = str(Path(sepkit.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", "import sepkit.cli, sys; print('sepkit._floatfmt' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
-    )
-    assert done.stdout == "False\n"

@@ -6,12 +6,15 @@ huge integers, rational strings, negative weights beyond the clamp,
 Hermitian unit-trace matrices with a negative eigenvalue, missing or extra
 ``weights``/``matrix``, and JSON that is not an object. Each one is
 parsed by ``stateio.load_state`` and run through ``cli.main`` on classify,
-depolarize and witness.
+depolarize and witness. Two hostile files, a rational string with a huge
+exponent and JSON nested far past the recursion limit, must also be refused
+within a second.
 """
 
 import contextlib
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +29,9 @@ JUNK = st.one_of(
     st.none(),
     st.floats(),  # NaN and infinities included
     st.integers(min_value=-(10**400), max_value=10**400),
-    st.sampled_from(["1/5", "-1/5", "1/0", "2/3", "1e400", "abc", "", " 1/8 "]),
+    st.sampled_from(
+        ["1/5", "-1/5", "1/0", "2/3", "1e400", "abc", "", " 1/8 ", "1e-999999999", "1e999999999"]
+    ),
     st.lists(st.floats(0.0, 1.0), max_size=3),
     st.dictionaries(st.sampled_from(["re", "im", "x"]), st.integers(0, 2), max_size=2),
 )
@@ -169,3 +174,39 @@ def test_matrices_with_a_negative_eigenvalue_get_one_line(n, data, tmp_path_fact
         assert err.startswith("sepkit: invalid density matrix: not positive semidefinite: ")
         assert err.count("\n") == 1
         assert float(err.rsplit(" ", 1)[1]) == pytest.approx(-low, rel=1e-5)  # printed to 6 digits
+
+
+def assert_refused_at_once(path):
+    for argv in (["classify"], ["depolarize"], ["witness"], ["distill", "--pair", "A,B"]):
+        start = time.perf_counter()
+        code, out, err = run([argv[0], "--input", str(path), *argv[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("sepkit: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("value", ["1e-999999999", "1e999999999", "-1E+100_000"])
+@pytest.mark.parametrize("field", ["lambda0_plus", "delta", "lambdas"])
+def test_rational_with_a_huge_exponent_gets_one_line(field, value, tmp_path):
+    w = {"lambda0_plus": 0.7, "lambda0_minus": 0.1, "lambdas": [0.1, 0.1, 0.1]}
+    if field == "lambdas":
+        w["lambdas"][2], field = value, "lambdas[2]"
+    else:
+        w[field] = value
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({"n_qubits": 3, "weights": w}), encoding="utf-8")
+    err = assert_refused_at_once(path)
+    assert f"{field}: rational {value!r} has an exponent beyond ±10000" in err
+
+
+@pytest.mark.parametrize("opening,closing", [("[", "]"), ('{"a": ', "}")])
+def test_deeply_nested_file_gets_one_line(opening, closing, tmp_path):
+    # written as text: json.dumps recurses as deep as json.load does
+    path = tmp_path / "nested.json"
+    depth = 100_000
+    path.write_text(
+        '{"n_qubits": 3, "weights": ' + opening * depth + "0" + closing * depth + "}",
+        encoding="utf-8",
+    )
+    assert assert_refused_at_once(path).endswith("is not valid JSON: nested too deeply\n")

@@ -77,6 +77,19 @@ def test_load_weights_with_rationals(tmp_path):
     assert any("rational" in note for note in state.notes)
 
 
+def test_rational_exponent_bound(tmp_path):
+    doc = {
+        "n_qubits": 3,
+        "weights": {"lambda0_plus": "1", "lambda0_minus": 0, "lambdas": ["1e-400", 0, "0e10000"]},
+    }
+    state = stateio.load_state(write_json(tmp_path / "s.json", doc))
+    assert state.weights.lambdas.tolist() == [0.0, 0.0, 0.0]
+    assert "lambdas[0] parsed from rational 1e-400 to nearest double" in state.notes
+    doc["weights"]["lambdas"][2] = "0e10001"
+    with pytest.raises(stateio.StateFileError, match=r"lambdas\[2\]: .* beyond ±10000"):
+        stateio.load_state(write_json(tmp_path / "s.json", doc))
+
+
 def assert_same_weights(a, b):
     assert (a.n_qubits, a.lambda0_plus, a.lambda0_minus, a.delta, a.basis_flipped) == (
         b.n_qubits, b.lambda0_plus, b.lambda0_minus, b.delta, b.basis_flipped
